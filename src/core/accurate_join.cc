@@ -23,7 +23,7 @@ StatusOr<std::unique_ptr<AccurateRasterJoin>> AccurateRasterJoin::Create(
   executor->sweep_ = internal::BuildSweepGeometry(
       viewport, regions, internal::SweepMode::kAccurate,
       /*with_boundary=*/true, /*triangle_pipeline=*/false);
-  executor->stats_.build_seconds = timer.ElapsedSeconds();
+  executor->set_build_seconds(timer.ElapsedSeconds());
   return executor;
 }
 
@@ -57,18 +57,15 @@ void AccurateRasterJoin::BuildPixelIndex() {
   }
 }
 
-StatusOr<QueryResult> AccurateRasterJoin::Execute(
-    const AggregationQuery& query) {
+StatusOr<QueryResult> AccurateRasterJoin::DoExecute(
+    const AggregationQuery& query, ExecutorStats& stats) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
     return Status::FailedPrecondition(
         "AccurateRasterJoin was created for a different table/region set");
   }
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
   const ExecutionContext& exec = options_.exec;
-  stats_.threads_used = exec.EffectiveThreads();
+  stats.threads_used = exec.EffectiveThreads();
   obs::TraceSpan exec_span(query.trace, "accurate");
   WallTimer timer;
 
@@ -76,8 +73,8 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
   URBANE_ASSIGN_OR_RETURN(
       FilterSelection selection,
       EvaluateFilter(query.filter, points_, exec, query.candidate_ranges));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "filter", stats_.filter_seconds);
+  stats.filter_seconds = filter_timer.ElapsedSeconds();
+  TracePass(query.trace, exec_span.id(), "filter", stats.filter_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   const float* attr = nullptr;
   if (query.aggregate.NeedsAttribute()) {
@@ -86,16 +83,17 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
   WallTimer splat_timer;
   const internal::SplatSchedule schedule =
       internal::BuildSplatSchedule(viewport_, points_, selection, &morton_);
-  internal::AggregateTargets& targets = targets_scratch_;
+  const internal::TargetsPool::Lease lease = targets_.Acquire();
+  internal::AggregateTargets& targets = *lease;
   internal::BuildAggregateTargets(viewport_, schedule, attr,
                                   query.aggregate.kind,
                                   options_.use_float32_targets,
                                   /*need_abs_sum=*/false, targets,
                                   exec.Splat());
-  stats_.splat_seconds = splat_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "splat", stats_.splat_seconds);
+  stats.splat_seconds = splat_timer.ElapsedSeconds();
+  TracePass(query.trace, exec_span.id(), "splat", stats.splat_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
-  stats_.points_scanned = selection.ids.size();
+  stats.points_scanned = selection.ids.size();
 
   // Pass 2: regions are partitioned across the pool. Each part's cached
   // boundary pixels are refined exactly (in cached emission order) and its
@@ -175,16 +173,16 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
     }
   });
   for (const ExecutorStats& ws : worker_stats) {
-    stats_.MergeCounters(ws);
+    stats.MergeCounters(ws);
     // Workers run concurrently, so the slowest worker's refine time is the
     // wall-clock contribution (summing would exceed sweep_seconds).
-    stats_.refine_seconds = std::max(stats_.refine_seconds, ws.refine_seconds);
+    stats.refine_seconds = std::max(stats.refine_seconds, ws.refine_seconds);
   }
-  stats_.sweep_seconds = sweep_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "sweep", stats_.sweep_seconds);
-  TracePass(query.trace, exec_span.id(), "refine", stats_.refine_seconds);
-  stats_.query_seconds = timer.ElapsedSeconds();
-  ObserveExecutorStats("accurate", stats_);
+  stats.sweep_seconds = sweep_timer.ElapsedSeconds();
+  TracePass(query.trace, exec_span.id(), "sweep", stats.sweep_seconds);
+  TracePass(query.trace, exec_span.id(), "refine", stats.refine_seconds);
+  stats.query_seconds = timer.ElapsedSeconds();
+  ObserveExecutorStats("accurate", stats);
   return result;
 }
 

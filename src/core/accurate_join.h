@@ -24,10 +24,8 @@ class AccurateRasterJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const RasterJoinOptions& options = RasterJoinOptions());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) override;
   std::string name() const override { return "accurate"; }
   bool exact() const override { return true; }
-  const ExecutorStats& stats() const override { return stats_; }
 
   const raster::Viewport& canvas() const { return viewport_; }
   std::size_t MemoryBytes() const;
@@ -41,6 +39,9 @@ class AccurateRasterJoin : public SpatialAggregationExecutor {
         regions_(regions),
         options_(options),
         viewport_(viewport) {}
+
+  StatusOr<QueryResult> DoExecute(const AggregationQuery& query,
+                                  ExecutorStats& stats) const override;
 
   /// CSR pixel -> point ids, built once over all points.
   void BuildPixelIndex();
@@ -57,12 +58,9 @@ class AccurateRasterJoin : public SpatialAggregationExecutor {
   // sweep loop runs without per-pixel stamp checks.
   raster::MortonSplatOrder morton_;
   internal::SweepGeometry sweep_;
-  // Render-target scratch reused across Execute calls (see
-  // BoundedRasterJoin::targets_scratch_).
-  internal::AggregateTargets targets_scratch_;
-  // Boundary-pixel dedup scratch is per sweep worker (see
-  // internal::StampBuffer); Execute holds no shared mutable state.
-  ExecutorStats stats_;
+  // Warm render targets, one per in-flight call (see
+  // BoundedRasterJoin::targets_).
+  mutable internal::TargetsPool targets_;
 };
 
 }  // namespace urbane::core

@@ -20,6 +20,8 @@ struct AttributeRange {
   std::string attribute;
   double lo = -std::numeric_limits<double>::infinity();
   double hi = std::numeric_limits<double>::infinity();
+
+  bool operator==(const AttributeRange&) const = default;
 };
 
 /// Half-open time range [begin, end).
@@ -28,6 +30,7 @@ struct TimeRange {
   std::int64_t end = 0;
 
   bool Contains(std::int64_t t) const { return t >= begin && t < end; }
+  bool operator==(const TimeRange&) const = default;
 };
 
 /// The ad-hoc [AND filterCondition]* of the paper's query: a conjunction of
@@ -46,6 +49,8 @@ struct FilterSpec {
     return !time_range.has_value() && attribute_ranges.empty() &&
            !spatial_window.has_value();
   }
+  /// Same conjuncts, in the same order.
+  bool operator==(const FilterSpec&) const = default;
 
   FilterSpec& WithTime(std::int64_t begin, std::int64_t end) {
     time_range = TimeRange{begin, end};

@@ -22,27 +22,25 @@ StatusOr<std::unique_ptr<IndexJoin>> IndexJoin::Create(
                                   bounds, options.target_points_per_cell));
   auto executor = std::unique_ptr<IndexJoin>(
       new IndexJoin(points, regions, std::move(grid), options));
-  executor->stats_.build_seconds = timer.ElapsedSeconds();
+  executor->set_build_seconds(timer.ElapsedSeconds());
   return executor;
 }
 
-StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) {
+StatusOr<QueryResult> IndexJoin::DoExecute(const AggregationQuery& query,
+                                           ExecutorStats& stats) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
     return Status::FailedPrecondition(
         "IndexJoin was created for a different table/region set");
   }
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
   obs::TraceSpan exec_span(query.trace, "index");
   WallTimer timer;
 
   WallTimer filter_timer;
   URBANE_ASSIGN_OR_RETURN(CompiledFilter filter,
                           CompiledFilter::Compile(query.filter, points_));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "filter", stats_.filter_seconds);
+  stats.filter_seconds = filter_timer.ElapsedSeconds();
+  TracePass(query.trace, exec_span.id(), "filter", stats.filter_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   const bool trivial_filter = filter.IsTrivial();
 
@@ -64,7 +62,7 @@ StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) {
   // across the pool; each region's accumulator is private to one worker
   // and results land in preallocated region slots.
   const ExecutionContext& exec = options_.exec;
-  stats_.threads_used = exec.EffectiveThreads();
+  stats.threads_used = exec.EffectiveThreads();
   const std::size_t num_regions = regions_.size();
   QueryResult result;
   result.values.assign(num_regions, 0.0);
@@ -123,13 +121,13 @@ StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) {
     }
   });
   for (const ExecutorStats& ws : worker_stats) {
-    stats_.MergeCounters(ws);
+    stats.MergeCounters(ws);
   }
-  stats_.reduce_seconds = reduce_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "reduce", stats_.reduce_seconds);
+  stats.reduce_seconds = reduce_timer.ElapsedSeconds();
+  TracePass(query.trace, exec_span.id(), "reduce", stats.reduce_seconds);
 
-  stats_.query_seconds = timer.ElapsedSeconds();
-  ObserveExecutorStats("index", stats_);
+  stats.query_seconds = timer.ElapsedSeconds();
+  ObserveExecutorStats("index", stats);
   return result;
 }
 

@@ -33,10 +33,8 @@ class IndexJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const IndexJoinOptions& options = IndexJoinOptions());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) override;
   std::string name() const override { return "index"; }
   bool exact() const override { return true; }
-  const ExecutorStats& stats() const override { return stats_; }
 
   const index::GridIndex& grid() const { return grid_; }
   std::size_t MemoryBytes() const { return grid_.MemoryBytes(); }
@@ -49,11 +47,13 @@ class IndexJoin : public SpatialAggregationExecutor {
         grid_(std::move(grid)),
         options_(options) {}
 
+  StatusOr<QueryResult> DoExecute(const AggregationQuery& query,
+                                  ExecutorStats& stats) const override;
+
   const data::PointTable& points_;
   const data::RegionSet& regions_;
   index::GridIndex grid_;
   IndexJoinOptions options_;
-  ExecutorStats stats_;
 };
 
 }  // namespace urbane::core

@@ -52,22 +52,4 @@ void ObserveExecutorStats(const char* executor, const ExecutorStats& stats) {
       .Set(static_cast<double>(static_cast<int>(raster::ActiveSimdLevel())));
 }
 
-void FillProfilePassCosts(const ExecutorStats& stats,
-                          obs::ProfilePassCosts* out) {
-  if (out == nullptr) return;
-  out->points_scanned = stats.points_scanned;
-  out->points_bulk = stats.points_bulk;
-  out->pip_tests = stats.pip_tests;
-  out->pixels_touched = stats.pixels_touched;
-  out->boundary_pixels = stats.boundary_pixels;
-  out->tiles_visited = stats.tiles_visited;
-  out->simd_fragments = stats.simd_fragments;
-  out->filter_seconds = stats.filter_seconds;
-  out->splat_seconds = stats.splat_seconds;
-  out->sweep_seconds = stats.sweep_seconds;
-  out->reduce_seconds = stats.reduce_seconds;
-  out->refine_seconds = stats.refine_seconds;
-  out->query_seconds = stats.query_seconds;
-}
-
 }  // namespace urbane::core

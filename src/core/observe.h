@@ -33,36 +33,6 @@ inline void TracePass(obs::QueryTrace* trace, int parent, const char* name,
 /// No-op unless metrics are enabled.
 void ObserveExecutorStats(const char* executor, const ExecutorStats& stats);
 
-/// Copies one execution's measured pass costs into a profile section
-/// (obs cannot depend on core, so the field copy lives on this side).
-void FillProfilePassCosts(const ExecutorStats& stats,
-                          obs::ProfilePassCosts* out);
-
-/// RAII thread-CPU attribution for a span scope: records the calling
-/// thread's CLOCK_THREAD_CPUTIME_ID delta across its lifetime into
-/// `*sink` (accumulating). A null sink — the unprofiled common case —
-/// makes both ends a pointer test, preserving the obs-off == baseline
-/// contract. Exact for serial scopes (facade dispatch, one shard's pass);
-/// for intra-executor parallelism it attributes the coordinator thread
-/// only, which DESIGN.md §12 documents as the contract.
-class ProfileCpuScope {
- public:
-  explicit ProfileCpuScope(double* sink)
-      : sink_(sink),
-        start_(sink != nullptr ? obs::ThreadCpuSeconds() : 0.0) {}
-  ~ProfileCpuScope() {
-    if (sink_ != nullptr) {
-      *sink_ += obs::ThreadCpuSeconds() - start_;
-    }
-  }
-  ProfileCpuScope(const ProfileCpuScope&) = delete;
-  ProfileCpuScope& operator=(const ProfileCpuScope&) = delete;
-
- private:
-  double* sink_;
-  double start_;
-};
-
 }  // namespace urbane::core
 
 #endif  // URBANE_CORE_OBSERVE_H_

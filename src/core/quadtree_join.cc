@@ -23,27 +23,25 @@ StatusOr<std::unique_ptr<QuadtreeJoin>> QuadtreeJoin::Create(
                              tree_options));
   auto executor = std::unique_ptr<QuadtreeJoin>(
       new QuadtreeJoin(points, regions, std::move(tree)));
-  executor->stats_.build_seconds = timer.ElapsedSeconds();
+  executor->set_build_seconds(timer.ElapsedSeconds());
   return executor;
 }
 
-StatusOr<QueryResult> QuadtreeJoin::Execute(const AggregationQuery& query) {
+StatusOr<QueryResult> QuadtreeJoin::DoExecute(const AggregationQuery& query,
+                                              ExecutorStats& stats) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
     return Status::FailedPrecondition(
         "QuadtreeJoin was created for a different table/region set");
   }
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
   obs::TraceSpan exec_span(query.trace, "quadtree");
   WallTimer timer;
 
   WallTimer filter_timer;
   URBANE_ASSIGN_OR_RETURN(CompiledFilter filter,
                           CompiledFilter::Compile(query.filter, points_));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "filter", stats_.filter_seconds);
+  stats.filter_seconds = filter_timer.ElapsedSeconds();
+  TracePass(query.trace, exec_span.id(), "filter", stats.filter_seconds);
   const bool trivial_filter = filter.IsTrivial();
   const float* attr = nullptr;
   if (query.aggregate.NeedsAttribute()) {
@@ -78,7 +76,7 @@ StatusOr<QueryResult> QuadtreeJoin::Execute(const AggregationQuery& query) {
                 continue;
               }
               acc.Add(value_of(ids[k]));
-              ++stats_.points_bulk;
+              ++stats.points_bulk;
             }
           },
           /*test_each=*/
@@ -90,11 +88,11 @@ StatusOr<QueryResult> QuadtreeJoin::Execute(const AggregationQuery& query) {
               if (!trivial_filter && !filter.Matches(points_, ids[k])) {
                 continue;
               }
-              ++stats_.pip_tests;
+              ++stats.pip_tests;
               const geometry::Vec2 p{points_.x(ids[k]), points_.y(ids[k])};
               if (part.Contains(p)) {
                 acc.Add(value_of(ids[k]));
-                ++stats_.points_scanned;
+                ++stats.points_scanned;
               }
             }
           });
@@ -102,10 +100,10 @@ StatusOr<QueryResult> QuadtreeJoin::Execute(const AggregationQuery& query) {
     result.values.push_back(acc.Finalize(query.aggregate.kind));
     result.counts.push_back(acc.count);
   }
-  stats_.reduce_seconds = reduce_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "reduce", stats_.reduce_seconds);
-  stats_.query_seconds = timer.ElapsedSeconds();
-  ObserveExecutorStats("quadtree", stats_);
+  stats.reduce_seconds = reduce_timer.ElapsedSeconds();
+  TracePass(query.trace, exec_span.id(), "reduce", stats.reduce_seconds);
+  stats.query_seconds = timer.ElapsedSeconds();
+  ObserveExecutorStats("quadtree", stats);
   return result;
 }
 

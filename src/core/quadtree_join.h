@@ -27,10 +27,8 @@ class QuadtreeJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const QuadtreeJoinOptions& options = QuadtreeJoinOptions());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) override;
   std::string name() const override { return "quadtree"; }
   bool exact() const override { return true; }
-  const ExecutorStats& stats() const override { return stats_; }
 
   const index::Quadtree& tree() const { return tree_; }
   std::size_t MemoryBytes() const { return tree_.MemoryBytes(); }
@@ -40,10 +38,12 @@ class QuadtreeJoin : public SpatialAggregationExecutor {
                index::Quadtree tree)
       : points_(points), regions_(regions), tree_(std::move(tree)) {}
 
+  StatusOr<QueryResult> DoExecute(const AggregationQuery& query,
+                                  ExecutorStats& stats) const override;
+
   const data::PointTable& points_;
   const data::RegionSet& regions_;
   index::Quadtree tree_;
-  ExecutorStats stats_;
 };
 
 }  // namespace urbane::core

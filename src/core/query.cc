@@ -64,4 +64,20 @@ std::string AggregationQuery::ToString() const {
   return out;
 }
 
+StatusOr<QueryResult> SpatialAggregationExecutor::Execute(
+    const AggregationQuery& query, ExecutorStats* stats) const {
+  ExecutorStats call;
+  call.build_seconds = build_seconds_;
+  StatusOr<QueryResult> result = DoExecute(query, call);
+  if (result.ok()) PublishStats(call, stats);
+  return result;
+}
+
+void SpatialAggregationExecutor::PublishStats(const ExecutorStats& stats,
+                                              ExecutorStats* out) const {
+  if (out != nullptr) *out = stats;
+  std::lock_guard<std::mutex> lock(last_mu_);
+  last_ = stats;
+}
+
 }  // namespace urbane::core

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <string>
 
 #include "core/aggregate.h"
@@ -107,13 +108,18 @@ struct AggregationQuery {
   std::string ToString() const;
 };
 
-/// Common interface of the four interchangeable execution strategies.
+/// Common interface of the interchangeable execution strategies.
+///
+/// Executors hold no per-query state: Execute is const and returns each
+/// call's stats, so one instance may serve any number of concurrent calls.
 class SpatialAggregationExecutor {
  public:
   virtual ~SpatialAggregationExecutor() = default;
 
   /// Executes the query, producing one value per region (region order).
-  virtual StatusOr<QueryResult> Execute(const AggregationQuery& query) = 0;
+  /// On success `stats` (optional) receives this call's telemetry.
+  StatusOr<QueryResult> Execute(const AggregationQuery& query,
+                                ExecutorStats* stats = nullptr) const;
 
   /// Strategy name for reports ("scan", "index", "raster", "accurate").
   virtual std::string name() const = 0;
@@ -121,8 +127,33 @@ class SpatialAggregationExecutor {
   /// True if results are exact (false only for the bounded raster join).
   virtual bool exact() const = 0;
 
-  /// Telemetry from the most recent Execute call.
-  virtual const ExecutorStats& stats() const = 0;
+  /// Stats of the most recently completed call on any thread (only
+  /// build_seconds before the first).
+  ExecutorStats stats() const {
+    std::lock_guard<std::mutex> lock(last_mu_);
+    return last_;
+  }
+
+ protected:
+  /// Records the one-time build cost.
+  void set_build_seconds(double seconds) {
+    build_seconds_ = seconds;
+    last_.build_seconds = seconds;
+  }
+
+  /// Hands a completed call's stats to its caller (`out`, may be null) and
+  /// to stats(); for entry points beside Execute (ExecuteBatch).
+  void PublishStats(const ExecutorStats& stats, ExecutorStats* out) const;
+
+  double build_seconds_ = 0.0;  // every call's stats carry it
+
+ private:
+  /// The strategy itself; fills `stats` for this call only.
+  virtual StatusOr<QueryResult> DoExecute(const AggregationQuery& query,
+                                          ExecutorStats& stats) const = 0;
+
+  mutable std::mutex last_mu_;
+  mutable ExecutorStats last_;  // guarded by last_mu_
 };
 
 }  // namespace urbane::core

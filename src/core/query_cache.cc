@@ -60,7 +60,9 @@ std::uint64_t QueryCache::Fingerprint(const AggregationQuery& query,
   Fnv64 fnv;
   fnv.Mix(config_epoch);
   fnv.Mix(static_cast<std::uint64_t>(method));
-  fnv.Mix(static_cast<std::uint64_t>(canvas_resolution));
+  const bool raster = method == ExecutionMethod::kBoundedRaster ||
+                      method == ExecutionMethod::kAccurateRaster;
+  fnv.Mix(static_cast<std::uint64_t>(raster ? canvas_resolution : 0));
   fnv.Mix(static_cast<std::uint64_t>(query.aggregate.kind));
   // COUNT ignores its attribute, so a stray attribute must not split keys
   // (mirrors AggregationQuery::ToString, which renders COUNT(*)).
@@ -87,6 +89,14 @@ std::uint64_t QueryCache::Fingerprint(const AggregationQuery& query,
     fnv.MixDouble(range.hi);
   }
   return fnv.hash();
+}
+
+std::optional<QueryCache::TimeInterval> QueryCache::ValidTime(
+    const FilterSpec& filter) {
+  if (!filter.time_range.has_value()) {
+    return std::nullopt;
+  }
+  return TimeInterval{filter.time_range->begin, filter.time_range->end};
 }
 
 std::size_t QueryCache::ResultBytes(const QueryResult& result) {

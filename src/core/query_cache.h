@@ -69,9 +69,10 @@ class QueryCache {
 
   /// Stable 64-bit fingerprint of (method, aggregate, filter conjuncts,
   /// viewport window, canvas resolution, executor-config epoch). The
-  /// `canvas_resolution` must be the resolution the raster executors would
-  /// run at (pass 0 for non-raster methods where it does not shape the
-  /// answer); `config_epoch` is the owning engine's rebuild counter.
+  /// `canvas_resolution` is the resolution the raster executors would run
+  /// at; it keys only the raster methods (it does not shape the other
+  /// answers, so it is ignored for them). `config_epoch` is the owning
+  /// engine's rebuild counter.
   static std::uint64_t Fingerprint(const AggregationQuery& query,
                                    ExecutionMethod method,
                                    int canvas_resolution,
@@ -99,6 +100,11 @@ class QueryCache {
     std::int64_t begin = 0;
     std::int64_t end = 0;
   };
+
+  /// The dependency interval of an answer under `filter`: its time range
+  /// when present (the answer cannot depend on rows outside it), nullopt
+  /// otherwise (any append invalidates it).
+  static std::optional<TimeInterval> ValidTime(const FilterSpec& filter);
 
   /// Inserts (or refreshes) an entry, then evicts LRU entries until the
   /// shard is within its entry and byte bounds. A result too large for its

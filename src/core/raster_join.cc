@@ -90,22 +90,19 @@ StatusOr<std::unique_ptr<BoundedRasterJoin>> BoundedRasterJoin::Create(
       viewport, regions, internal::SweepMode::kBounded,
       /*with_boundary=*/options.compute_error_bounds,
       options.use_triangle_pipeline);
-  executor->stats_.build_seconds = timer.ElapsedSeconds();
+  executor->set_build_seconds(timer.ElapsedSeconds());
   return executor;
 }
 
-StatusOr<QueryResult> BoundedRasterJoin::Execute(
-    const AggregationQuery& query) {
+StatusOr<QueryResult> BoundedRasterJoin::DoExecute(
+    const AggregationQuery& query, ExecutorStats& stats) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
     return Status::FailedPrecondition(
         "BoundedRasterJoin was created for a different table/region set");
   }
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
   const ExecutionContext& exec = options_.exec;
-  stats_.threads_used = exec.EffectiveThreads();
+  stats.threads_used = exec.EffectiveThreads();
   obs::TraceSpan exec_span(query.trace, "raster");
   WallTimer timer;
 
@@ -115,8 +112,8 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
   URBANE_ASSIGN_OR_RETURN(
       FilterSelection selection,
       EvaluateFilter(query.filter, points_, exec, query.candidate_ranges));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "filter", stats_.filter_seconds);
+  stats.filter_seconds = filter_timer.ElapsedSeconds();
+  TracePass(query.trace, exec_span.id(), "filter", stats.filter_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   const float* attr = nullptr;
   if (query.aggregate.NeedsAttribute()) {
@@ -127,17 +124,18 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
   WallTimer splat_timer;
   const internal::SplatSchedule schedule =
       internal::BuildSplatSchedule(viewport_, points_, selection, &morton_);
-  internal::AggregateTargets& targets = targets_scratch_;
+  const internal::TargetsPool::Lease lease = targets_.Acquire();
+  internal::AggregateTargets& targets = *lease;
   internal::BuildAggregateTargets(
       viewport_, schedule, attr, query.aggregate.kind,
       options_.use_float32_targets,
       /*need_abs_sum=*/options_.compute_error_bounds &&
           query.aggregate.kind == AggregateKind::kSum,
       targets, exec.Splat());
-  stats_.splat_seconds = splat_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "splat", stats_.splat_seconds);
+  stats.splat_seconds = splat_timer.ElapsedSeconds();
+  TracePass(query.trace, exec_span.id(), "splat", stats.splat_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
-  stats_.points_scanned = selection.ids.size();
+  stats.points_scanned = selection.ids.size();
 
   // --- pass 2: sweep the cached region spans, one contiguous region range
   //     per worker; spans are walked in the exact order the scan converter
@@ -194,44 +192,18 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
     }
   });
   for (const ExecutorStats& ws : worker_stats) {
-    stats_.MergeCounters(ws);
+    stats.MergeCounters(ws);
   }
-  stats_.sweep_seconds = sweep_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "sweep", stats_.sweep_seconds);
-  stats_.query_seconds = timer.ElapsedSeconds();
-  ObserveExecutorStats("raster", stats_);
+  stats.sweep_seconds = sweep_timer.ElapsedSeconds();
+  TracePass(query.trace, exec_span.id(), "sweep", stats.sweep_seconds);
+  stats.query_seconds = timer.ElapsedSeconds();
+  ObserveExecutorStats("raster", stats);
   return result;
 }
 
-namespace {
-
-bool FiltersEqual(const FilterSpec& a, const FilterSpec& b) {
-  if (a.time_range.has_value() != b.time_range.has_value()) return false;
-  if (a.time_range && (a.time_range->begin != b.time_range->begin ||
-                       a.time_range->end != b.time_range->end)) {
-    return false;
-  }
-  if (a.spatial_window.has_value() != b.spatial_window.has_value()) {
-    return false;
-  }
-  if (a.spatial_window && !(*a.spatial_window == *b.spatial_window)) {
-    return false;
-  }
-  if (a.attribute_ranges.size() != b.attribute_ranges.size()) return false;
-  for (std::size_t i = 0; i < a.attribute_ranges.size(); ++i) {
-    const AttributeRange& ra = a.attribute_ranges[i];
-    const AttributeRange& rb = b.attribute_ranges[i];
-    if (ra.attribute != rb.attribute || ra.lo != rb.lo || ra.hi != rb.hi) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
-    const std::vector<AggregationQuery>& queries) {
+    const std::vector<AggregationQuery>& queries,
+    ExecutorStats* batch_stats) const {
   if (queries.empty()) {
     return std::vector<QueryResult>();
   }
@@ -241,17 +213,16 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
       return Status::FailedPrecondition(
           "BoundedRasterJoin was created for a different table/region set");
     }
-    if (!FiltersEqual(query.filter, queries.front().filter)) {
+    if (query.filter != queries.front().filter) {
       return Status::InvalidArgument(
           "batched queries must share one filter (the splat pass is shared)");
     }
   }
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
+  ExecutorStats stats;
+  stats.build_seconds = build_seconds_;
   const ExecutionContext& exec = options_.exec;
   const raster::SplatParallelism splat_par = exec.Splat();
-  stats_.threads_used = exec.EffectiveThreads();
+  stats.threads_used = exec.EffectiveThreads();
   // Batch trace convention: the whole shared-splat execution reports into
   // the front query's trace (the batch is one execution, not N).
   obs::QueryTrace* trace = queries.front().trace;
@@ -264,10 +235,10 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
       FilterSelection selection,
       EvaluateFilter(queries.front().filter, points_, exec,
                      queries.front().candidate_ranges));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
-  TracePass(trace, exec_span.id(), "filter", stats_.filter_seconds);
+  stats.filter_seconds = filter_timer.ElapsedSeconds();
+  TracePass(trace, exec_span.id(), "filter", stats.filter_seconds);
   URBANE_RETURN_IF_ERROR(queries.front().CheckControl());
-  stats_.points_scanned = selection.ids.size();
+  stats.points_scanned = selection.ids.size();
 
   // --- shared pass 1: the pixel indices are computed once for the whole
   //     batch; one count splat + one sum / min-max splat per distinct
@@ -344,8 +315,8 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
           targets.max_value);
     }
   }
-  stats_.splat_seconds = splat_timer.ElapsedSeconds();
-  TracePass(trace, exec_span.id(), "splat", stats_.splat_seconds);
+  stats.splat_seconds = splat_timer.ElapsedSeconds();
+  TracePass(trace, exec_span.id(), "splat", stats.splat_seconds);
   URBANE_RETURN_IF_ERROR(queries.front().CheckControl());
 
   // Resolve each query's targets once; the sweep reads the map no more.
@@ -449,12 +420,13 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
     }
   });
   for (const ExecutorStats& ws : worker_stats) {
-    stats_.MergeCounters(ws);
+    stats.MergeCounters(ws);
   }
-  stats_.sweep_seconds = sweep_timer.ElapsedSeconds();
-  TracePass(trace, exec_span.id(), "sweep", stats_.sweep_seconds);
-  stats_.query_seconds = timer.ElapsedSeconds();
-  ObserveExecutorStats("raster", stats_);
+  stats.sweep_seconds = sweep_timer.ElapsedSeconds();
+  TracePass(trace, exec_span.id(), "sweep", stats.sweep_seconds);
+  stats.query_seconds = timer.ElapsedSeconds();
+  ObserveExecutorStats("raster", stats);
+  PublishStats(stats, batch_stats);
   return results;
 }
 

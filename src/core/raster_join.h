@@ -88,20 +88,19 @@ class BoundedRasterJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const RasterJoinOptions& options = RasterJoinOptions());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) override;
-
   /// Multi-aggregate batch: evaluates several aggregates that share ONE
   /// filter in a single pass — the points are splatted once into the union
   /// of the needed render targets and each region is swept once, exactly
   /// how the GPU implementation amortizes multiple aggregates per frame.
   /// All queries must have identical filters (checked); results come back
   /// in query order. Error bounds are computed per aggregate when enabled.
+  /// `stats` (optional) receives the batch's telemetry, as from Execute.
   StatusOr<std::vector<QueryResult>> ExecuteBatch(
-      const std::vector<AggregationQuery>& queries);
+      const std::vector<AggregationQuery>& queries,
+      ExecutorStats* stats = nullptr) const;
 
   std::string name() const override { return "raster"; }
   bool exact() const override { return false; }
-  const ExecutorStats& stats() const override { return stats_; }
 
   const raster::Viewport& canvas() const { return viewport_; }
   /// Geometric error bound of this canvas (world units / meters).
@@ -118,6 +117,9 @@ class BoundedRasterJoin : public SpatialAggregationExecutor {
         options_(options),
         viewport_(viewport) {}
 
+  StatusOr<QueryResult> DoExecute(const AggregationQuery& query,
+                                  ExecutorStats& stats) const override;
+
   const data::PointTable& points_;
   const data::RegionSet& regions_;
   RasterJoinOptions options_;
@@ -129,16 +131,11 @@ class BoundedRasterJoin : public SpatialAggregationExecutor {
   // neither can go stale.
   raster::MortonSplatOrder morton_;
   internal::SweepGeometry sweep_;
-  // Render-target scratch reused across Execute calls: a warm refill is
-  // several times cheaper than a fresh page-faulting allocation, and the
-  // serial fused scatter first-touch-initializes value targets so most
-  // queries only clear the count plane. Mutated per query like stats_ —
-  // an executor instance serves one query at a time.
-  internal::AggregateTargets targets_scratch_;
-  // Boundary-pixel dedup scratch lives per sweep worker (see
-  // internal::StampBuffer), so Execute holds no shared mutable state
-  // across regions.
-  ExecutorStats stats_;
+  // Warm render targets, one checked out per in-flight call: a warm
+  // refill is several times cheaper than a fresh page-faulting allocation,
+  // and the serial fused scatter first-touch-initializes value targets so
+  // most queries only clear the count plane.
+  mutable internal::TargetsPool targets_;
 };
 
 }  // namespace urbane::core

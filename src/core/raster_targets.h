@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/aggregate.h"
@@ -105,10 +107,38 @@ struct AggregateTargets {
   }
 };
 
+/// Warm render targets of one raster executor. Each call checks a canvas
+/// out for its duration, so concurrent calls never share one, while a lone
+/// caller keeps reusing the same warm canvas (see EnsureFilled). The list
+/// holds as many canvases as calls ever ran at once.
+class TargetsPool {
+ public:
+  struct Return {
+    TargetsPool* pool;
+    void operator()(AggregateTargets* targets) const {
+      std::lock_guard<std::mutex> lock(pool->mu_);
+      pool->free_.emplace_back(targets);
+    }
+  };
+  using Lease = std::unique_ptr<AggregateTargets, Return>;
+
+  Lease Acquire() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (free_.empty()) return Lease(new AggregateTargets(), Return{this});
+    Lease lease(free_.back().release(), Return{this});
+    free_.pop_back();
+    return lease;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<AggregateTargets>> free_;
+};
+
 /// Reuses `buf` when the canvas size matches (refilled with `fill`),
 /// reallocating otherwise. Refilling a warm buffer is several times cheaper
-/// than a fresh allocation (no page faults), which is why the executors keep
-/// their AggregateTargets as a member scratch across queries.
+/// than a fresh allocation (no page faults), which is why the executors
+/// keep their AggregateTargets warm in a TargetsPool across queries.
 template <typename T>
 inline void EnsureFilled(raster::Buffer2D<T>& buf, int w, int h, T fill) {
   if (buf.width() == w && buf.height() == h) {

@@ -15,28 +15,26 @@ StatusOr<std::unique_ptr<ScanJoin>> ScanJoin::Create(
                           index::RTree::Build(regions.RegionBounds()));
   auto executor = std::unique_ptr<ScanJoin>(
       new ScanJoin(points, regions, std::move(rtree), exec));
-  executor->stats_.build_seconds = timer.ElapsedSeconds();
+  executor->set_build_seconds(timer.ElapsedSeconds());
   return executor;
 }
 
-StatusOr<QueryResult> ScanJoin::Execute(const AggregationQuery& query) {
+StatusOr<QueryResult> ScanJoin::DoExecute(const AggregationQuery& query,
+                                          ExecutorStats& stats) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
     return Status::FailedPrecondition(
         "ScanJoin was created for a different table/region set");
   }
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
-  stats_.threads_used = exec_.EffectiveThreads();
+  stats.threads_used = exec_.EffectiveThreads();
   obs::TraceSpan exec_span(query.trace, "scan");
   WallTimer timer;
 
   WallTimer filter_timer;
   URBANE_ASSIGN_OR_RETURN(CompiledFilter filter,
                           CompiledFilter::Compile(query.filter, points_));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "filter", stats_.filter_seconds);
+  stats.filter_seconds = filter_timer.ElapsedSeconds();
+  TracePass(query.trace, exec_span.id(), "filter", stats.filter_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
 
   const float* attr = nullptr;
@@ -90,10 +88,10 @@ StatusOr<QueryResult> ScanJoin::Execute(const AggregationQuery& query) {
     }
   }
   for (const ExecutorStats& ws : worker_stats) {
-    stats_.MergeCounters(ws);
+    stats.MergeCounters(ws);
   }
-  stats_.reduce_seconds = reduce_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "reduce", stats_.reduce_seconds);
+  stats.reduce_seconds = reduce_timer.ElapsedSeconds();
+  TracePass(query.trace, exec_span.id(), "reduce", stats.reduce_seconds);
 
   QueryResult result;
   result.values.reserve(regions_.size());
@@ -102,8 +100,8 @@ StatusOr<QueryResult> ScanJoin::Execute(const AggregationQuery& query) {
     result.values.push_back(acc.Finalize(query.aggregate.kind));
     result.counts.push_back(acc.count);
   }
-  stats_.query_seconds = timer.ElapsedSeconds();
-  ObserveExecutorStats("scan", stats_);
+  stats.query_seconds = timer.ElapsedSeconds();
+  ObserveExecutorStats("scan", stats);
   return result;
 }
 

@@ -25,10 +25,8 @@ class ScanJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const ExecutionContext& exec = ExecutionContext());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) override;
   std::string name() const override { return "scan"; }
   bool exact() const override { return true; }
-  const ExecutorStats& stats() const override { return stats_; }
 
   std::size_t MemoryBytes() const { return rtree_.MemoryBytes(); }
 
@@ -40,11 +38,13 @@ class ScanJoin : public SpatialAggregationExecutor {
         rtree_(std::move(rtree)),
         exec_(exec) {}
 
+  StatusOr<QueryResult> DoExecute(const AggregationQuery& query,
+                                  ExecutorStats& stats) const override;
+
   const data::PointTable& points_;
   const data::RegionSet& regions_;
   index::RTree rtree_;
   ExecutionContext exec_;
-  ExecutorStats stats_;
 };
 
 }  // namespace urbane::core

@@ -18,20 +18,32 @@ namespace urbane::core {
 
 namespace {
 
-/// The dependency interval a cached answer carries: the filter's time range
-/// when present (the answer cannot depend on rows outside it), nullopt
-/// otherwise (any append invalidates it). See
-/// QueryCache::InvalidateTimeOverlap.
-std::optional<QueryCache::TimeInterval> CacheValidTime(
-    const FilterSpec& filter) {
-  if (!filter.time_range.has_value()) {
-    return std::nullopt;
-  }
-  return QueryCache::TimeInterval{filter.time_range->begin,
-                                  filter.time_range->end};
+template <typename Executor>
+StatusOr<std::unique_ptr<SpatialAggregationExecutor>> Upcast(
+    StatusOr<std::unique_ptr<Executor>> built) {
+  if (!built.ok()) return built.status();
+  return std::unique_ptr<SpatialAggregationExecutor>(std::move(built).value());
 }
 
 }  // namespace
+
+StatusOr<std::unique_ptr<SpatialAggregationExecutor>> CreateExecutor(
+    ExecutionMethod method, const data::PointTable& points,
+    const data::RegionSet& regions, const RasterJoinOptions& raster_options,
+    const IndexJoinOptions& index_options, const ExecutionContext& scan_exec) {
+  switch (method) {
+    case ExecutionMethod::kScan:
+      return Upcast(ScanJoin::Create(points, regions, scan_exec));
+    case ExecutionMethod::kIndexJoin:
+      return Upcast(IndexJoin::Create(points, regions, index_options));
+    case ExecutionMethod::kBoundedRaster:
+      return Upcast(BoundedRasterJoin::Create(points, regions, raster_options));
+    case ExecutionMethod::kAccurateRaster:
+      return Upcast(
+          AccurateRasterJoin::Create(points, regions, raster_options));
+  }
+  return Status::InvalidArgument("unknown execution method");
+}
 
 SpatialAggregation::SpatialAggregation(const data::PointTable& points,
                                        const data::RegionSet& regions,
@@ -56,35 +68,14 @@ SpatialAggregation::SpatialAggregation(const data::PointTable& points,
 
 StatusOr<SpatialAggregationExecutor*> SpatialAggregation::ExecutorLocked(
     ExecutionMethod method) {
-  switch (method) {
-    case ExecutionMethod::kScan:
-      if (!scan_) {
-        URBANE_ASSIGN_OR_RETURN(scan_,
-                                ScanJoin::Create(points_, regions_, exec_));
-      }
-      return static_cast<SpatialAggregationExecutor*>(scan_.get());
-    case ExecutionMethod::kIndexJoin:
-      if (!index_) {
-        URBANE_ASSIGN_OR_RETURN(
-            index_, IndexJoin::Create(points_, regions_, index_options_));
-      }
-      return static_cast<SpatialAggregationExecutor*>(index_.get());
-    case ExecutionMethod::kBoundedRaster:
-      if (!raster_) {
-        URBANE_ASSIGN_OR_RETURN(
-            raster_,
-            BoundedRasterJoin::Create(points_, regions_, raster_options_));
-      }
-      return static_cast<SpatialAggregationExecutor*>(raster_.get());
-    case ExecutionMethod::kAccurateRaster:
-      if (!accurate_) {
-        URBANE_ASSIGN_OR_RETURN(
-            accurate_,
-            AccurateRasterJoin::Create(points_, regions_, raster_options_));
-      }
-      return static_cast<SpatialAggregationExecutor*>(accurate_.get());
+  std::unique_ptr<SpatialAggregationExecutor>& slot =
+      executors_[MethodIndex(method)];
+  if (!slot) {
+    URBANE_ASSIGN_OR_RETURN(
+        slot, CreateExecutor(method, points_, regions_, raster_options_,
+                             index_options_, exec_));
   }
-  return Status::InvalidArgument("unknown execution method");
+  return slot.get();
 }
 
 StatusOr<SpatialAggregationExecutor*> SpatialAggregation::ActiveExecutorLocked(
@@ -146,8 +137,7 @@ void SpatialAggregation::set_result_cache_max_bytes(std::size_t max_bytes) {
 std::uint64_t SpatialAggregation::Fingerprint(const AggregationQuery& query,
                                               ExecutionMethod method) const {
   int resolution = 0;
-  if (method == ExecutionMethod::kBoundedRaster ||
-      method == ExecutionMethod::kAccurateRaster) {
+  {
     std::lock_guard<std::mutex> lock(state_mu_);
     resolution = raster_options_.resolution;
   }
@@ -171,34 +161,27 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
     query.profile->method = ExecutionMethodToString(method);
     query.profile->cache = use_cache ? "miss" : "off";
   }
-  if (use_cache) {
-    // Fast path: a hit costs one shard mutex, no executor serialization.
-    const std::uint64_t key = Fingerprint(query, method);
-    if (std::optional<QueryResult> hit = cache_.Lookup(key)) {
-      if (query.trace != nullptr) {
-        query.trace->Tag("cache", "hit");
-      }
+  std::uint64_t key = 0;
+  auto probe = [&](bool record_miss) {
+    key = Fingerprint(query, method);
+    std::optional<QueryResult> hit = cache_.Lookup(key, record_miss);
+    if (hit.has_value()) {
+      if (query.trace != nullptr) query.trace->Tag("cache", "hit");
       if (query.profile != nullptr) query.profile->cache = "hit";
       if (cache_hit != nullptr) *cache_hit = true;
-      return std::move(*hit);
     }
+    return hit;
+  };
+  // Fast path: a hit costs one shard mutex, no executor serialization.
+  if (use_cache) {
+    if (std::optional<QueryResult> hit = probe(true)) return std::move(*hit);
   }
   std::lock_guard<std::mutex> serialize(method_mu_[MethodIndex(method)]);
-  std::uint64_t key = 0;
+  // Re-probe under the method lock: the config (and thus the key) is now
+  // stable, and a session that computed this entry while we waited for the
+  // lock turns this into a hit.
   if (use_cache) {
-    // Re-fingerprint under the method lock: the config (and thus the key)
-    // is now stable, and a session that computed this entry while we waited
-    // for the lock turns this into a hit.
-    key = Fingerprint(query, method);
-    if (std::optional<QueryResult> hit =
-            cache_.Lookup(key, /*record_miss=*/false)) {
-      if (query.trace != nullptr) {
-        query.trace->Tag("cache", "hit");
-      }
-      if (query.profile != nullptr) query.profile->cache = "hit";
-      if (cache_hit != nullptr) *cache_hit = true;
-      return std::move(*hit);
-    }
+    if (std::optional<QueryResult> hit = probe(false)) return std::move(*hit);
   }
   SpatialAggregationExecutor* executor = nullptr;
   {
@@ -238,17 +221,17 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
   // coordinator-only under intra-executor parallelism (DESIGN.md §12).
   const double cpu_begin =
       query.profile != nullptr ? obs::ThreadCpuSeconds() : 0.0;
-  URBANE_ASSIGN_OR_RETURN(QueryResult result, executor->Execute(query));
+  ExecutorStats stats;
+  URBANE_ASSIGN_OR_RETURN(QueryResult result,
+                          executor->Execute(query, &stats));
   if (query.profile != nullptr) {
     query.profile->cpu_seconds += obs::ThreadCpuSeconds() - cpu_begin;
-    // Copied under the method lock, so the stats are this query's own.
-    const ExecutorStats& stats = executor->stats();
     query.profile->method = executor->name();
     query.profile->threads_used = stats.threads_used;
-    FillProfilePassCosts(stats, &query.profile->totals);
+    query.profile->totals = stats;
   }
   if (use_cache) {
-    cache_.Insert(key, result, CacheValidTime(query.filter));
+    cache_.Insert(key, result, QueryCache::ValidTime(query.filter));
   }
   return result;
 }
@@ -404,12 +387,17 @@ StatusOr<std::vector<QueryResult>> SpatialAggregation::ExecuteMany(
                 .Add(prune.blocks_pruned);
           }
         }
-        auto batched = raster->ExecuteBatch(pending);
+        ExecutorStats stats;
+        auto batched = raster->ExecuteBatch(pending, &stats);
+        // One execution: like its trace, the front query's profile.
+        if (batched.ok() && pending.front().profile != nullptr) {
+          pending.front().profile->totals = stats;
+        }
         if (batched.ok()) {
           for (std::size_t k = 0; k < missing.size(); ++k) {
             if (use_cache) {
               cache_.Insert(keys[missing[k]], (*batched)[k],
-                            CacheValidTime(queries[missing[k]].filter));
+                            QueryCache::ValidTime(queries[missing[k]].filter));
             }
             found[missing[k]] = std::move((*batched)[k]);
           }
@@ -455,8 +443,10 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
   QueryPlan plan;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    profile.has_point_index = index_ != nullptr;
-    profile.has_pixel_index = accurate_ != nullptr;
+    profile.has_point_index =
+        executors_[MethodIndex(ExecutionMethod::kIndexJoin)] != nullptr;
+    profile.has_pixel_index =
+        executors_[MethodIndex(ExecutionMethod::kAccurateRaster)] != nullptr;
     plan = PlanQuery(profile, accuracy, raster_options_.resolution);
     last_plan_ = plan;
   }
@@ -488,7 +478,7 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
         method_mu_[MethodIndex(ExecutionMethod::kBoundedRaster)], state_mu_);
     if (plan.resolution > raster_options_.resolution) {
       raster_options_.resolution = plan.resolution;
-      raster_.reset();
+      executors_[MethodIndex(ExecutionMethod::kBoundedRaster)].reset();
       // The sharded wrapper's inner rasters carry the old canvas too.
       sharded_[MethodIndex(ExecutionMethod::kBoundedRaster)].reset();
       config_epoch_.fetch_add(1, std::memory_order_acq_rel);

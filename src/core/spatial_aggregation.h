@@ -20,6 +20,14 @@
 
 namespace urbane::core {
 
+/// Builds the executor that runs `method` — the one method-to-class
+/// mapping, shared by the facade and shard::ShardedExecutor. `scan_exec`
+/// parallelizes the scan; the others take theirs from their options.
+StatusOr<std::unique_ptr<SpatialAggregationExecutor>> CreateExecutor(
+    ExecutionMethod method, const data::PointTable& points,
+    const data::RegionSet& regions, const RasterJoinOptions& raster_options,
+    const IndexJoinOptions& index_options, const ExecutionContext& scan_exec);
+
 /// Facade over the four executors — the library's main entry point.
 ///
 /// Owns nothing heavy until first use: each executor is built lazily on the
@@ -39,12 +47,12 @@ namespace urbane::core {
 ///
 /// Thread-safety contract: one engine serves many concurrent sessions.
 /// Execute / ExecuteMany / ExecuteAuto / EstimateSelectivity may be called
-/// from any number of threads. Executor construction and any rebuild (the
-/// ExecuteAuto resolution bump) happen under a mutex; because the executors
-/// keep per-query stats, execution itself is serialized per method (two
-/// sessions can run scan and raster concurrently, but not two rasters) —
-/// result-cache hits bypass that lock entirely, taking only a cache shard
-/// mutex, which is what keeps revisited brush states concurrent.
+/// from any number of threads. Executors are stateless, but execution is
+/// serialized per method: the lock keeps queries off an executor a rebuild
+/// (ExecuteAuto's resolution bump, set_num_shards) replaces, and holds each
+/// method to one warm canvas, which bounds resident memory. Result-cache
+/// hits bypass that lock entirely, taking only a cache shard mutex, which
+/// is what keeps revisited brush states concurrent.
 class SpatialAggregation {
  public:
   /// `points`/`regions` must outlive this object.
@@ -164,7 +172,7 @@ class SpatialAggregation {
     return static_cast<std::size_t>(method);
   }
 
-  /// Requires state_mu_ held.
+  /// The plain executor, built on first use. Requires state_mu_ held.
   StatusOr<SpatialAggregationExecutor*> ExecutorLocked(ExecutionMethod method);
 
   /// The executor Execute dispatches to: the sharded wrapper when
@@ -194,18 +202,15 @@ class SpatialAggregation {
 
   /// Guards executor pointers, raster_options_ and last_plan_.
   mutable std::mutex state_mu_;
-  /// Serializes Execute per method (executors keep per-query stats) and
-  /// protects in-flight executions against a concurrent rebuild.
+  /// Serializes Execute per method (see the class comment).
   std::array<std::mutex, kNumMethods> method_mu_;
 
   RasterJoinOptions raster_options_;  // resolution mutates in ExecuteAuto
-  std::unique_ptr<ScanJoin> scan_;
-  std::unique_ptr<IndexJoin> index_;
-  std::unique_ptr<BoundedRasterJoin> raster_;
-  std::unique_ptr<AccurateRasterJoin> accurate_;
+  /// Executors by MethodIndex, built lazily on first use.
+  std::array<std::unique_ptr<SpatialAggregationExecutor>, kNumMethods>
+      executors_;
   /// Sharded wrappers, one per method, built lazily like the executors
-  /// above whenever num_shards_ > 1 (each owns its private per-shard inner
-  /// executors — the plain ones above stay untouched).
+  /// above whenever num_shards_ > 1 (the plain ones stay untouched).
   std::array<std::unique_ptr<shard::ShardedExecutor>, kNumMethods> sharded_;
   QueryPlan last_plan_;
 

@@ -5,27 +5,34 @@
 #include <limits>
 #include <utility>
 
+#include "obs/profile.h"
 #include "shard/shard_merge.h"
+#include "util/timer.h"
 
 namespace urbane::ingest {
 
 namespace {
 
-/// The dependency interval a cached answer carries (see QueryCache).
-std::optional<core::QueryCache::TimeInterval> CacheValidTime(
-    const core::FilterSpec& filter) {
-  if (!filter.time_range.has_value()) {
-    return std::nullopt;
+/// Adds one component's record to the live query's profile: costs,
+/// counters and shard rows (renumbered in list order) add up.
+void FoldComponentProfile(const obs::QueryProfile& component,
+                          obs::QueryProfile* live) {
+  live->totals.Add(component.totals);
+  live->cpu_seconds += component.cpu_seconds;
+  live->threads_used = std::max(live->threads_used, component.threads_used);
+  live->blocks_total += component.blocks_total;
+  live->blocks_pruned += component.blocks_pruned;
+  live->rows_pruned += component.rows_pruned;
+  live->store_blocks_scanned += component.store_blocks_scanned;
+  live->store_blocks_read += component.store_blocks_read;
+  live->store_cache_hits += component.store_cache_hits;
+  live->store_bytes_read += component.store_bytes_read;
+  live->scatter_seconds += component.scatter_seconds;
+  live->merge_seconds += component.merge_seconds;
+  for (obs::ShardProfileEntry entry : component.shards) {
+    entry.index = live->shards.size();
+    live->shards.push_back(entry);
   }
-  return core::QueryCache::TimeInterval{filter.time_range->begin,
-                                        filter.time_range->end};
-}
-
-int CacheResolution(const core::ExecutionMethod method, int resolution) {
-  return (method == core::ExecutionMethod::kBoundedRaster ||
-          method == core::ExecutionMethod::kAccurateRaster)
-             ? resolution
-             : 0;
 }
 
 }  // namespace
@@ -188,39 +195,30 @@ StatusOr<core::QueryResult> LiveEngine::ExecuteComposedLocked(
   std::vector<core::QueryResult> partials;
   partials.reserve(components_.size());
   for (const auto& component : components_) {
+    obs::QueryProfile component_profile;  // folded in below
     core::AggregationQuery partial_query;
     partial_query.aggregate = query.aggregate;
     partial_query.filter = query.filter;
     partial_query.trace = query.trace;
     partial_query.control = query.control;
-    partial_query.profile = query.profile;
-    if (kind == core::AggregateKind::kAvg) {
-      // The shard-merge contract wants SUM partials for AVG (an average of
-      // averages is wrong across unequal components). For the bounded
-      // raster the partial additionally needs COUNT-semantics error bounds,
-      // so SUM and COUNT run as one shared-splat batch and the COUNT
-      // bounds are grafted on.
-      partial_query.aggregate =
-          core::AggregateSpec::Sum(query.aggregate.attribute);
-      if (method == core::ExecutionMethod::kBoundedRaster) {
-        core::AggregationQuery count_query = partial_query;
-        count_query.aggregate = core::AggregateSpec::Count();
-        std::vector<core::AggregationQuery> pair;
-        pair.push_back(std::move(partial_query));
-        pair.push_back(std::move(count_query));
-        URBANE_ASSIGN_OR_RETURN(
-            std::vector<core::QueryResult> results,
-            component->engine->ExecuteMany(std::move(pair), method));
-        core::QueryResult partial = std::move(results[0]);
-        partial.error_bounds = std::move(results[1].error_bounds);
-        partials.push_back(std::move(partial));
-        continue;
-      }
-    }
+    partial_query.profile =
+        query.profile != nullptr ? &component_profile : nullptr;
+    core::SpatialAggregation& engine = *component->engine;
     URBANE_ASSIGN_OR_RETURN(
         core::QueryResult partial,
-        component->engine->Execute(std::move(partial_query), method));
+        shard::ExecutePartial(
+            std::move(partial_query),
+            method == core::ExecutionMethod::kBoundedRaster,
+            [&](const core::AggregationQuery& q) {
+              return engine.Execute(q, method);
+            },
+            [&](std::vector<core::AggregationQuery> batch) {
+              return engine.ExecuteMany(std::move(batch), method);
+            }));
     partials.push_back(std::move(partial));
+    if (query.profile != nullptr) {
+      FoldComponentProfile(component_profile, query.profile);
+    }
   }
   if (partials.empty()) {
     return EmptyResult(kind, method);
@@ -228,29 +226,43 @@ StatusOr<core::QueryResult> LiveEngine::ExecuteComposedLocked(
   return shard::MergeShardPartials(kind, partials);
 }
 
-StatusOr<core::QueryResult> LiveEngine::Execute(core::AggregationQuery query,
-                                                core::ExecutionMethod method,
-                                                std::uint64_t* watermark) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const LiveSnapshot snapshot = table_->Snapshot();
-  URBANE_RETURN_IF_ERROR(RefreshLocked(snapshot));
-  if (watermark != nullptr) {
-    *watermark = snapshot.watermark;
-  }
+StatusOr<core::QueryResult> LiveEngine::ExecuteCachedLocked(
+    const core::AggregationQuery& query, core::ExecutionMethod method) {
   const bool cacheable = cache_.enabled();
+  if (query.profile != nullptr) {
+    query.profile->method = core::ExecutionMethodToString(method);
+    query.profile->cache = cacheable ? "miss" : "off";
+  }
   std::uint64_t key = 0;
   if (cacheable) {
     key = core::QueryCache::Fingerprint(
-        query, method,
-        CacheResolution(method, options_.raster_options.resolution), epoch_);
+        query, method, options_.raster_options.resolution, epoch_);
     if (std::optional<core::QueryResult> hit = cache_.Lookup(key)) {
+      if (query.profile != nullptr) query.profile->cache = "hit";
       return *std::move(hit);
     }
   }
   URBANE_ASSIGN_OR_RETURN(core::QueryResult result,
                           ExecuteComposedLocked(query, method));
   if (cacheable) {
-    cache_.Insert(key, result, CacheValidTime(query.filter));
+    cache_.Insert(key, result, core::QueryCache::ValidTime(query.filter));
+  }
+  return result;
+}
+
+StatusOr<core::QueryResult> LiveEngine::Execute(core::AggregationQuery query,
+                                                core::ExecutionMethod method,
+                                                std::uint64_t* watermark) {
+  WallTimer timer;
+  std::lock_guard<std::mutex> lock(mu_);
+  const LiveSnapshot snapshot = table_->Snapshot();
+  URBANE_RETURN_IF_ERROR(RefreshLocked(snapshot));
+  if (watermark != nullptr) {
+    *watermark = snapshot.watermark;
+  }
+  StatusOr<core::QueryResult> result = ExecuteCachedLocked(query, method);
+  if (query.profile != nullptr) {
+    query.profile->wall_seconds = timer.ElapsedSeconds();
   }
   return result;
 }
@@ -258,6 +270,7 @@ StatusOr<core::QueryResult> LiveEngine::Execute(core::AggregationQuery query,
 StatusOr<core::QueryResult> LiveEngine::ExecuteAuto(
     core::AggregationQuery query, const core::AccuracyRequirement& accuracy,
     std::uint64_t* watermark, core::QueryPlan* plan) {
+  WallTimer timer;
   std::lock_guard<std::mutex> lock(mu_);
   const LiveSnapshot snapshot = table_->Snapshot();
   URBANE_RETURN_IF_ERROR(RefreshLocked(snapshot));
@@ -292,21 +305,10 @@ StatusOr<core::QueryResult> LiveEngine::ExecuteAuto(
     *plan = chosen;
   }
 
-  const bool cacheable = cache_.enabled();
-  std::uint64_t key = 0;
-  if (cacheable) {
-    key = core::QueryCache::Fingerprint(
-        query, chosen.method,
-        CacheResolution(chosen.method, options_.raster_options.resolution),
-        epoch_);
-    if (std::optional<core::QueryResult> hit = cache_.Lookup(key)) {
-      return *std::move(hit);
-    }
-  }
-  URBANE_ASSIGN_OR_RETURN(core::QueryResult result,
-                          ExecuteComposedLocked(query, chosen.method));
-  if (cacheable) {
-    cache_.Insert(key, result, CacheValidTime(query.filter));
+  StatusOr<core::QueryResult> result =
+      ExecuteCachedLocked(query, chosen.method);
+  if (query.profile != nullptr) {
+    query.profile->wall_seconds = timer.ElapsedSeconds();
   }
   return result;
 }

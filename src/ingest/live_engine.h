@@ -123,6 +123,10 @@ class LiveEngine {
   /// (scoped cache invalidation + canvas appends). Requires mu_ held.
   Status RefreshLocked(const LiveSnapshot& snapshot);
   Status RebuildComponentEngineLocked(Component& component);
+  /// Probes the result cache, composing the components on a miss; fills the
+  /// profile's method and cache outcome for the whole live query.
+  StatusOr<core::QueryResult> ExecuteCachedLocked(
+      const core::AggregationQuery& query, core::ExecutionMethod method);
   StatusOr<core::QueryResult> ExecuteComposedLocked(
       const core::AggregationQuery& query, core::ExecutionMethod method);
   core::QueryResult EmptyResult(core::AggregateKind kind,

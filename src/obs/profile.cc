@@ -131,6 +131,26 @@ double ThreadCpuSeconds() {
 #endif
 }
 
+void ProfilePassCosts::MergeCounters(const ProfilePassCosts& other) {
+  points_scanned += other.points_scanned;
+  points_bulk += other.points_bulk;
+  pip_tests += other.pip_tests;
+  pixels_touched += other.pixels_touched;
+  boundary_pixels += other.boundary_pixels;
+  tiles_visited += other.tiles_visited;
+  simd_fragments += other.simd_fragments;
+}
+
+void ProfilePassCosts::Add(const ProfilePassCosts& other) {
+  MergeCounters(other);
+  filter_seconds += other.filter_seconds;
+  splat_seconds += other.splat_seconds;
+  sweep_seconds += other.sweep_seconds;
+  reduce_seconds += other.reduce_seconds;
+  refine_seconds += other.refine_seconds;
+  query_seconds += other.query_seconds;
+}
+
 data::JsonValue ProfilePassCosts::ToJson() const {
   data::JsonValue::Object doc;
   doc.emplace_back("points_scanned", U64(points_scanned));

@@ -76,23 +76,37 @@ TraceContext GenerateTraceContext();
 /// one pool thread), coordinator-only for intra-executor parallelism.
 double ThreadCpuSeconds();
 
-/// One execution's pass costs — the profile's mirror of
-/// core::ExecutorStats (obs cannot depend on core; core/observe.h copies
-/// the fields across). Counters are deterministic; seconds are measured.
+/// One execution's pass costs: the base of core::ExecutorStats, so an
+/// executor's stats copy into a profile as they are. Counters are
+/// deterministic; seconds are measured.
 struct ProfilePassCosts {
-  std::uint64_t points_scanned = 0;
-  std::uint64_t points_bulk = 0;
-  std::uint64_t pip_tests = 0;
-  std::uint64_t pixels_touched = 0;
-  std::uint64_t boundary_pixels = 0;
-  std::uint64_t tiles_visited = 0;
-  std::uint64_t simd_fragments = 0;
-  double filter_seconds = 0.0;
-  double splat_seconds = 0.0;
-  double sweep_seconds = 0.0;
-  double reduce_seconds = 0.0;
-  double refine_seconds = 0.0;
-  double query_seconds = 0.0;
+  std::uint64_t points_scanned = 0;   // points touched individually
+  std::uint64_t points_bulk = 0;      // points taken without a PIP test
+  std::uint64_t pip_tests = 0;        // exact point-in-polygon tests run
+  std::uint64_t pixels_touched = 0;   // raster: canvas pixels visited
+  std::uint64_t boundary_pixels = 0;  // raster: boundary cells visited
+  std::uint64_t tiles_visited = 0;    // raster: distinct 64x64 canvas
+                                      // tiles the sweep covered
+  std::uint64_t simd_fragments = 0;   // raster: pixels pushed through the
+                                      // SIMD span kernels
+  double filter_seconds = 0.0;        // per-pass: filter evaluation
+  double splat_seconds = 0.0;         // per-pass: point splat (pass 1)
+  double sweep_seconds = 0.0;         // per-pass: region sweep (pass 2)
+  double reduce_seconds = 0.0;        // per-pass: probe/reduce loop
+                                      // (scan, index, quadtree)
+  double refine_seconds = 0.0;        // per-pass: boundary-pixel exact
+                                      // refinement (accurate raster only;
+                                      // recorded only when obs is enabled)
+  double query_seconds = 0.0;         // per-query time
+
+  /// Folds one worker's counters into this (parallel executors keep
+  /// per-worker stats to avoid sharing; timings are not summed — wall
+  /// times overlap across workers and are recorded by the coordinator).
+  void MergeCounters(const ProfilePassCosts& other);
+
+  /// Adds another execution's costs (composed executions run in sequence,
+  /// so counters and seconds both sum).
+  void Add(const ProfilePassCosts& other);
 
   data::JsonValue ToJson() const;
 };

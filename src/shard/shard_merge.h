@@ -1,9 +1,11 @@
 #ifndef URBANE_SHARD_SHARD_MERGE_H_
 #define URBANE_SHARD_SHARD_MERGE_H_
 
+#include <utility>
 #include <vector>
 
 #include "core/aggregate.h"
+#include "core/query.h"
 #include "util/status.h"
 
 namespace urbane::shard {
@@ -16,6 +18,33 @@ namespace urbane::shard {
 /// shard runs SUM and the merge divides the summed (sum, count) pairs once,
 /// exactly like Accumulator::Finalize does for the unsharded engine.
 core::AggregateKind ShardExecutionKind(core::AggregateKind requested);
+
+/// Runs one partial of `query` under the merge contract below — the one
+/// owner of the AVG split, used per shard and per live component. The
+/// aggregate runs as ShardExecutionKind via `execute(query)`. A
+/// bounded-raster AVG partial needs COUNT-semantics error bounds where a
+/// SUM pass bounds Σ|attr|, so with `bounded_raster` SUM and COUNT run as
+/// one shared-splat `execute_batch(queries)` and the COUNT bounds are
+/// grafted onto the SUM partial (the two passes' counts are equal).
+template <typename Execute, typename ExecuteBatch>
+StatusOr<core::QueryResult> ExecutePartial(core::AggregationQuery query,
+                                           bool bounded_raster,
+                                           const Execute& execute,
+                                           const ExecuteBatch& execute_batch) {
+  const bool avg = query.aggregate.kind == core::AggregateKind::kAvg;
+  query.aggregate.kind = ShardExecutionKind(query.aggregate.kind);
+  if (!avg || !bounded_raster) {
+    return execute(query);
+  }
+  core::AggregationQuery count_query = query;
+  count_query.aggregate = core::AggregateSpec::Count();
+  URBANE_ASSIGN_OR_RETURN(std::vector<core::QueryResult> results,
+                          execute_batch(std::vector<core::AggregationQuery>{
+                              std::move(query), std::move(count_query)}));
+  core::QueryResult partial = std::move(results[0]);
+  partial.error_bounds = std::move(results[1].error_bounds);
+  return partial;
+}
 
 /// Merges per-shard partial results into the final QueryResult, in
 /// ascending shard order. `partials[s]` must be the result of running shard
@@ -36,8 +65,8 @@ core::AggregateKind ShardExecutionKind(core::AggregateKind requested);
 /// counts / |attribute| sums partition the serial bound. Partials with no
 /// bounds contribute zero; the merged result carries bounds iff any partial
 /// did. For AVG the caller must supply COUNT-semantics bounds in the SUM
-/// partials' error_bounds (the sharded bounded-raster path batches SUM and
-/// COUNT in one splat+sweep for exactly this reason).
+/// partials' error_bounds (ExecutePartial batches SUM and COUNT in one
+/// splat+sweep for exactly this reason).
 ///
 /// Because shard partials are combined in shard-index order — never in
 /// completion order — the merged result is a pure function of the partials:

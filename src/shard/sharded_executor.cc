@@ -3,6 +3,7 @@
 #include <atomic>
 #include <utility>
 
+#include "core/spatial_aggregation.h"
 #include "core/observe.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -14,12 +15,6 @@
 namespace urbane::shard {
 
 namespace {
-
-/// The per-shard inner context: always serial. Shard-level concurrency is
-/// the only parallelism in a sharded pass, so the shard partials — and
-/// therefore the merged result — depend on the shard plan alone, never on
-/// how many workers the pool happens to have.
-core::ExecutionContext SerialContext() { return core::ExecutionContext(); }
 
 Status ValidateExplicitShards(const std::vector<core::RowRange>& shards,
                               std::uint64_t rows) {
@@ -49,61 +44,29 @@ StatusOr<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
     m = options.explicit_shards.size();
   }
 
+  // The inner context is always serial. Shard-level concurrency is the only
+  // parallelism in a sharded pass, so the shard partials — and therefore
+  // the merged result — depend on the shard plan alone, never on how many
+  // workers the pool happens to have.
+  core::RasterJoinOptions serial_raster = raster_options;
+  serial_raster.exec = core::ExecutionContext();
+  core::IndexJoinOptions serial_index = index_options;
+  serial_index.exec = core::ExecutionContext();
+
   WallTimer timer;
   std::unique_ptr<ShardedExecutor> sharded(
-      new ShardedExecutor(points, regions, method, options));
-  sharded->shards_.reserve(m);
-  for (std::size_t s = 0; s < m; ++s) {
-    switch (method) {
-      case core::ExecutionMethod::kScan: {
-        auto inner = core::ScanJoin::Create(points, regions, SerialContext());
-        if (!inner.ok()) return inner.status();
-        sharded->shards_.push_back(std::move(inner).value());
-        break;
-      }
-      case core::ExecutionMethod::kIndexJoin: {
-        core::IndexJoinOptions opts = index_options;
-        opts.exec = SerialContext();
-        auto inner = core::IndexJoin::Create(points, regions, opts);
-        if (!inner.ok()) return inner.status();
-        sharded->shards_.push_back(std::move(inner).value());
-        break;
-      }
-      case core::ExecutionMethod::kBoundedRaster: {
-        core::RasterJoinOptions opts = raster_options;
-        opts.exec = SerialContext();
-        auto inner = core::BoundedRasterJoin::Create(points, regions, opts);
-        if (!inner.ok()) return inner.status();
-        sharded->bounded_.push_back(inner.value().get());
-        sharded->shards_.push_back(std::move(inner).value());
-        break;
-      }
-      case core::ExecutionMethod::kAccurateRaster: {
-        core::RasterJoinOptions opts = raster_options;
-        opts.exec = SerialContext();
-        auto inner = core::AccurateRasterJoin::Create(points, regions, opts);
-        if (!inner.ok()) return inner.status();
-        sharded->shards_.push_back(std::move(inner).value());
-        break;
-      }
-    }
-  }
-  sharded->stats_.build_seconds = timer.ElapsedSeconds();
+      new ShardedExecutor(points, method, options, m));
+  URBANE_ASSIGN_OR_RETURN(
+      sharded->inner_,
+      core::CreateExecutor(method, points, regions, serial_raster,
+                           serial_index, core::ExecutionContext()));
+  sharded->set_build_seconds(timer.ElapsedSeconds());
   return sharded;
-}
-
-std::string ShardedExecutor::name() const {
-  return "sharded-" + (shards_.empty() ? std::string("?")
-                                       : shards_.front()->name());
-}
-
-bool ShardedExecutor::exact() const {
-  return shards_.empty() ? true : shards_.front()->exact();
 }
 
 StatusOr<core::QueryResult> ShardedExecutor::ExecuteShard(
     const core::AggregationQuery& query, std::size_t s,
-    const core::RowRangeSet& candidates) {
+    const core::RowRangeSet& candidates, core::ExecutorStats* stats) const {
   if (options_.fault_injector) {
     URBANE_RETURN_IF_ERROR(options_.fault_injector(s));
   }
@@ -113,30 +76,20 @@ StatusOr<core::QueryResult> ShardedExecutor::ExecuteShard(
   shard_query.trace = nullptr;    // spans come from the coordinator
   shard_query.profile = nullptr;  // the coordinator owns the breakdown
   shard_query.candidate_ranges = &candidates;
-  shard_query.aggregate.kind = ShardExecutionKind(query.aggregate.kind);
-
-  // Bounded-raster AVG with error bounds: the merged AVG bound must be the
-  // boundary point count (aggregate.h), but a SUM pass bounds Σ|attr|.
-  // Batch SUM and COUNT through one splat+sweep and graft the COUNT pass's
-  // bounds (and counts) onto the SUM partial.
-  if (query.aggregate.kind == core::AggregateKind::kAvg &&
-      method_ == core::ExecutionMethod::kBoundedRaster) {
-    core::AggregationQuery count_query = shard_query;
-    count_query.aggregate.kind = core::AggregateKind::kCount;
-    count_query.aggregate.attribute.clear();
-    auto batch = bounded_[s]->ExecuteBatch({shard_query, count_query});
-    if (!batch.ok()) return batch.status();
-    std::vector<core::QueryResult>& results = batch.value();
-    core::QueryResult partial = std::move(results[0]);
-    partial.counts = std::move(results[1].counts);
-    partial.error_bounds = std::move(results[1].error_bounds);
-    return partial;
-  }
-  return shards_[s]->Execute(shard_query);
+  return ExecutePartial(
+      std::move(shard_query),
+      method_ == core::ExecutionMethod::kBoundedRaster,
+      [&](const core::AggregationQuery& q) {
+        return inner_->Execute(q, stats);
+      },
+      [&](std::vector<core::AggregationQuery> batch) {
+        return static_cast<const core::BoundedRasterJoin&>(*inner_)
+            .ExecuteBatch(batch, stats);
+      });
 }
 
-StatusOr<core::QueryResult> ShardedExecutor::Execute(
-    const core::AggregationQuery& query) {
+StatusOr<core::QueryResult> ShardedExecutor::DoExecute(
+    const core::AggregationQuery& query, core::ExecutorStats& stats) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
 
   const std::uint64_t rows = points_.size();
@@ -146,22 +99,18 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
         ValidateExplicitShards(options_.explicit_shards, rows));
     plan.shards = options_.explicit_shards;
   } else {
-    plan = MakeShardPlan(rows, shards_.size(), options_.align_rows);
+    plan = MakeShardPlan(rows, num_shards_, options_.align_rows);
   }
-  if (plan.size() != shards_.size()) {
-    return Status::Internal("shard plan size disagrees with executor count");
+  if (plan.size() != num_shards_) {
+    return Status::Internal("shard plan size disagrees with shard count");
   }
   const std::size_t m = plan.size();
-
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
-  stats_.threads_used = m;
+  stats.threads_used = m;
 
   obs::TraceSpan exec_span(query.trace, "sharded");
   if (query.trace != nullptr) {
     exec_span.Tag("shards", std::to_string(m));
-    exec_span.Tag("method", shards_.empty() ? "?" : shards_.front()->name());
+    exec_span.Tag("method", inner_->name());
   }
   const bool metrics = obs::MetricsEnabled();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -189,6 +138,7 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
   // not the first-failing completion — decides the reported status.
   std::vector<core::QueryResult> partials(m);
   std::vector<Status> statuses(m, Status::OK());
+  std::vector<core::ExecutorStats> shard_stats(m);
   // Per-shard wall/CPU samples for the profile breakdown. Each task writes
   // only its own slot (same fence discipline as `partials`); empty unless
   // the request carries a profile, so the unprofiled path never touches the
@@ -202,7 +152,7 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
     WallTimer shard_timer;
     const double cpu_begin = profiling ? obs::ThreadCpuSeconds() : 0.0;
     StatusOr<core::QueryResult> partial =
-        ExecuteShard(query, s, candidates[s]);
+        ExecuteShard(query, s, candidates[s], &shard_stats[s]);
     if (profiling) {
       shard_cpu[s] = obs::ThreadCpuSeconds() - cpu_begin;
       shard_wall[s] = shard_timer.ElapsedSeconds();
@@ -245,7 +195,7 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
       if (metrics) registry.GetCounter("shard.failures").Add(1);
       return statuses[s];
     }
-    stats_.MergeCounters(shards_[s]->stats());
+    stats.MergeCounters(shard_stats[s]);
   }
   URBANE_RETURN_IF_ERROR(query.CheckControl());
 
@@ -256,16 +206,16 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
     if (metrics) registry.GetCounter("shard.failures").Add(1);
     return merged.status();
   }
-  stats_.reduce_seconds = merge_timer.ElapsedSeconds();
-  core::TracePass(query.trace, exec_span.id(), "merge", stats_.reduce_seconds);
+  stats.reduce_seconds = merge_timer.ElapsedSeconds();
+  core::TracePass(query.trace, exec_span.id(), "merge", stats.reduce_seconds);
 
   // Profile breakdown, in shard-index order (never completion order) so the
   // table is reproducible at a fixed shard count. Pass costs come from the
-  // per-shard inner executors, whose counters MergeCounters summed above —
+  // per-shard stats slots, whose counters MergeCounters summed above —
   // the per-shard rows therefore sum exactly to the executor totals.
   if (profiling) {
     query.profile->scatter_seconds = scatter_seconds;
-    query.profile->merge_seconds = stats_.reduce_seconds;
+    query.profile->merge_seconds = stats.reduce_seconds;
     query.profile->shards.clear();
     query.profile->shards.reserve(m);
     for (std::size_t s = 0; s < m; ++s) {
@@ -276,16 +226,16 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
       entry.candidate_rows = candidates[s].total_rows();
       entry.wall_seconds = shard_wall[s];
       entry.cpu_seconds = shard_cpu[s];
-      core::FillProfilePassCosts(shards_[s]->stats(), &entry.costs);
+      entry.costs = shard_stats[s];
       query.profile->shards.push_back(entry);
     }
   }
 
-  stats_.query_seconds = timer.ElapsedSeconds();
+  stats.query_seconds = timer.ElapsedSeconds();
   if (metrics) {
-    registry.GetHistogram("shard.merge_seconds").Observe(stats_.reduce_seconds);
+    registry.GetHistogram("shard.merge_seconds").Observe(stats.reduce_seconds);
   }
-  core::ObserveExecutorStats("sharded", stats_);
+  core::ObserveExecutorStats("sharded", stats);
   return merged;
 }
 

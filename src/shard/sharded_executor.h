@@ -60,8 +60,8 @@ struct ShardedExecutorOptions {
 
 /// Scatter-gather execution of one query over M spatial/temporal shards.
 ///
-/// Scatter: the row space is split by ShardPlan; shard s executes a private
-/// instance of the underlying executor (scan/index/bounded/accurate) with
+/// Scatter: the row space is split by ShardPlan; shard s runs the one inner
+/// executor (scan/index/bounded/accurate, built over the full table) with
 /// `candidate_ranges` restricted to its rows ∩ the query's pruned ranges,
 /// serially within the shard, concurrently across shards on the pool.
 /// Gather: partials are published into per-shard slots; after all shards
@@ -69,12 +69,11 @@ struct ShardedExecutorOptions {
 /// canvas-free partial merge (COUNT/SUM additive, AVG by (sum, count),
 /// MIN/MAX by NaN-aware extrema, error bounds additive).
 ///
-/// Why private executor instances: executors keep per-query stats and
-/// scratch (render targets, stamp buffers), so one instance serves one
-/// in-flight query. M instances buy shard independence today and are the
-/// process-per-shard seam later (ROADMAP). The build cost (R-tree / grid /
-/// splat order per instance) is paid once at Create and amortized across
-/// queries, exactly like the unsharded executors.
+/// One inner executor serves every shard: executors are stateless (Execute
+/// is const and returns its own stats), so the M shard passes share its
+/// query-independent structures (R-tree / grid / splat order / sweep
+/// geometry / pixel index), built once at Create, and each pass reports its
+/// stats into its own slot.
 ///
 /// Determinism contract (DESIGN.md §11): for a fixed shard count the result
 /// is reproducible on any pool size and any completion order. COUNT and
@@ -86,9 +85,10 @@ struct ShardedExecutorOptions {
 /// ExecutionContext documents for thread partitioning.
 class ShardedExecutor : public core::SpatialAggregationExecutor {
  public:
-  /// Builds M per-shard instances of `method`'s executor. The raster/index
-  /// options are taken as configured EXCEPT their ExecutionContext, which
-  /// is forced serial — parallelism lives at the shard level.
+  /// Builds the inner executor for `method` (core::CreateExecutor). The
+  /// raster/index options are taken as configured EXCEPT their
+  /// ExecutionContext, which is forced serial — parallelism lives at the
+  /// shard level.
   static StatusOr<std::unique_ptr<ShardedExecutor>> Create(
       const data::PointTable& points, const data::RegionSet& regions,
       core::ExecutionMethod method, const ShardedExecutorOptions& options,
@@ -97,46 +97,36 @@ class ShardedExecutor : public core::SpatialAggregationExecutor {
       const core::IndexJoinOptions& index_options =
           core::IndexJoinOptions());
 
-  StatusOr<core::QueryResult> Execute(
-      const core::AggregationQuery& query) override;
-
-  std::string name() const override;
-  bool exact() const override;
-  const core::ExecutorStats& stats() const override { return stats_; }
-
-  core::ExecutionMethod method() const { return method_; }
-  std::size_t num_shards() const { return shards_.size(); }
+  std::string name() const override { return "sharded-" + inner_->name(); }
+  bool exact() const override { return inner_->exact(); }
 
  private:
   ShardedExecutor(const data::PointTable& points,
-                  const data::RegionSet& regions,
                   core::ExecutionMethod method,
-                  ShardedExecutorOptions options)
+                  ShardedExecutorOptions options, std::size_t num_shards)
       : points_(points),
-        regions_(regions),
         method_(method),
-        options_(std::move(options)) {}
+        options_(std::move(options)),
+        num_shards_(num_shards) {}
 
-  /// Runs shard `s` of `query` (already validated). The partial result
-  /// carries ShardExecutionKind(aggregate); for bounded-raster AVG it is a
-  /// SUM result whose error bounds are COUNT-semantics boundary counts.
+  StatusOr<core::QueryResult> DoExecute(
+      const core::AggregationQuery& query,
+      core::ExecutorStats& stats) const override;
+
+  /// Runs shard `s` of `query` (already validated) through ExecutePartial,
+  /// reporting the inner executor's stats into `stats`.
   StatusOr<core::QueryResult> ExecuteShard(
       const core::AggregationQuery& query, std::size_t s,
-      const core::RowRangeSet& candidates);
+      const core::RowRangeSet& candidates, core::ExecutorStats* stats) const;
 
   const data::PointTable& points_;
-  const data::RegionSet& regions_;
   const core::ExecutionMethod method_;
   const ShardedExecutorOptions options_;
+  const std::size_t num_shards_;
 
-  /// One underlying executor per shard (all built over the full table; the
-  /// per-shard restriction is purely candidate_ranges).
-  std::vector<std::unique_ptr<core::SpatialAggregationExecutor>> shards_;
-  /// Concrete bounded-raster handles (same objects as shards_) for the
-  /// AVG batch path; empty for the other methods.
-  std::vector<core::BoundedRasterJoin*> bounded_;
-
-  core::ExecutorStats stats_;
+  /// The serial inner executor every shard runs through, built over the
+  /// full table (the per-shard restriction is purely candidate_ranges).
+  std::unique_ptr<core::SpatialAggregationExecutor> inner_;
 };
 
 }  // namespace urbane::shard

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "core/query.h"
@@ -14,7 +15,7 @@
 
 namespace urbane::store {
 
-/// Per-query block accounting from the most recent Execute.
+/// Per-query block accounting.
 struct StoreScanStats {
   std::uint64_t blocks_total = 0;
   std::uint64_t blocks_pruned = 0;
@@ -35,15 +36,15 @@ class StoreScanJoin : public core::SpatialAggregationExecutor {
       const StoreReader& reader, BlockCache& cache,
       const data::RegionSet& regions);
 
-  /// `query.points` may be null (the store supplies the rows); if set, it
-  /// is only used to validate the schema.
-  StatusOr<core::QueryResult> Execute(
-      const core::AggregationQuery& query) override;
   std::string name() const override { return "store_scan"; }
   bool exact() const override { return true; }
-  const core::ExecutorStats& stats() const override { return stats_; }
 
-  const StoreScanStats& store_stats() const { return store_stats_; }
+  /// Block accounting of the most recently completed call (same contract
+  /// as stats()).
+  StoreScanStats store_stats() const {
+    std::lock_guard<std::mutex> lock(store_stats_mu_);
+    return last_store_stats_;
+  }
 
  private:
   StoreScanJoin(const StoreReader& reader, BlockCache& cache,
@@ -54,6 +55,12 @@ class StoreScanJoin : public core::SpatialAggregationExecutor {
         rtree_(std::move(rtree)),
         schema_table_(reader.schema()) {}
 
+  /// `query.points` may be null (the store supplies the rows); if set, it
+  /// is only used to validate the schema.
+  StatusOr<core::QueryResult> DoExecute(
+      const core::AggregationQuery& query,
+      core::ExecutorStats& stats) const override;
+
   const StoreReader& reader_;
   BlockCache& cache_;
   const data::RegionSet& regions_;
@@ -61,8 +68,8 @@ class StoreScanJoin : public core::SpatialAggregationExecutor {
   /// Empty table carrying the store's schema, used to validate queries and
   /// compile filters without materializing any rows.
   data::PointTable schema_table_;
-  core::ExecutorStats stats_;
-  StoreScanStats store_stats_;
+  mutable std::mutex store_stats_mu_;
+  mutable StoreScanStats last_store_stats_;  // guarded by store_stats_mu_
 };
 
 }  // namespace urbane::store

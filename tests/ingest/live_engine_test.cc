@@ -25,10 +25,12 @@
 
 #include "core/planner.h"
 #include "core/query.h"
+#include "core/raster_join.h"
 #include "core/spatial_aggregation.h"
 #include "data/point_table.h"
 #include "data/schema.h"
 #include "ingest/live_table.h"
+#include "obs/profile.h"
 #include "store/store_reader.h"
 #include "store/store_writer.h"
 #include "testing/test_worlds.h"
@@ -279,6 +281,79 @@ TEST(LiveEngineTest, EmptyLiveTableExecutes) {
   ASSERT_EQ(result->size(), regions.size());
   for (std::size_t r = 0; r < result->size(); ++r) {
     EXPECT_EQ(result->counts[r], 0u);
+  }
+}
+
+// A profiled live query leaves one record of the whole query: every
+// component's pass costs add into `totals` (folded in component order),
+// `cache` is the LiveEngine cache's own outcome, and `method` /
+// `wall_seconds` describe the live query rather than its last component.
+TEST(LiveEngineTest, ProfileTotalsSumEveryComponent) {
+  const std::string dir = FreshDir("profile_fold");
+  const data::PointTable base = testing::MakeDyadicPoints(800, 0xF0);
+  StatusOr<std::unique_ptr<LiveTable>> table =
+      LiveTable::Open(dir, VSchema(), &base, nullptr);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_TRUE((*table)->Append(testing::MakeDyadicPoints(500, 0xF1)).ok());
+  ASSERT_TRUE((*table)->Flush().ok());
+  ASSERT_TRUE((*table)->Append(testing::MakeDyadicPoints(300, 0xF2)).ok());
+  const LiveSnapshot snapshot = (*table)->Snapshot();
+  ASSERT_EQ(snapshot.runs.size(), 1u);
+  ASSERT_EQ(snapshot.hot_rows, 300u);
+
+  const data::RegionSet regions = testing::MakeTessellationRegions(3, 0xF3);
+  LiveEngineOptions options;
+  options.raster_options = SmallCanvas();
+  options.cache_entries = 16;
+  LiveEngine live(table->get(), &regions, options);
+
+  // Each component alone, on the canvas world the live engine pins (the
+  // union of the region and component bounds).
+  geometry::BoundingBox world = regions.Bounds();
+  world.Extend(base.Bounds());
+  world.Extend(snapshot.runs[0]->bounds);
+  world.Extend(snapshot.hot_bounds);
+  core::RasterJoinOptions pinned = SmallCanvas();
+  pinned.world = core::PadCanvasWorld(world);
+  const data::PointTable* components[] = {&base, &snapshot.runs[0]->table,
+                                          &snapshot.hot};
+
+  core::AggregationQuery query;
+  query.aggregate = core::AggregateSpec::Sum("v");
+  query.filter.WithTime(5000, 70000);
+  for (const core::ExecutionMethod method :
+       {core::ExecutionMethod::kScan, core::ExecutionMethod::kAccurateRaster}) {
+    obs::ProfilePassCosts want;
+    for (const data::PointTable* component : components) {
+      core::SpatialAggregation engine(*component, regions, pinned);
+      obs::QueryProfile part;
+      core::AggregationQuery alone = query;
+      alone.profile = &part;
+      ASSERT_TRUE(engine.Execute(alone, method).ok());
+      EXPECT_GT(part.totals.points_scanned, 0u);
+      want.Add(part.totals);
+    }
+
+    obs::QueryProfile profile;
+    core::AggregationQuery profiled = query;
+    profiled.profile = &profile;
+    ASSERT_TRUE(live.Execute(profiled, method).ok());
+    const std::string name = core::ExecutionMethodToString(method);
+    EXPECT_EQ(profile.method, name);
+    EXPECT_EQ(profile.cache, "miss") << name;
+    EXPECT_GT(profile.wall_seconds, 0.0) << name;
+    EXPECT_EQ(profile.totals.points_scanned, want.points_scanned) << name;
+    EXPECT_EQ(profile.totals.points_bulk, want.points_bulk) << name;
+    EXPECT_EQ(profile.totals.pip_tests, want.pip_tests) << name;
+    EXPECT_EQ(profile.totals.pixels_touched, want.pixels_touched) << name;
+    EXPECT_EQ(profile.totals.boundary_pixels, want.boundary_pixels) << name;
+    EXPECT_EQ(profile.totals.tiles_visited, want.tiles_visited) << name;
+    EXPECT_EQ(profile.totals.simd_fragments, want.simd_fragments) << name;
+
+    obs::QueryProfile revisit;
+    profiled.profile = &revisit;
+    ASSERT_TRUE(live.Execute(profiled, method).ok());
+    EXPECT_EQ(revisit.cache, "hit") << name;
   }
 }
 
