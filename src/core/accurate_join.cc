@@ -1,6 +1,7 @@
 #include "core/accurate_join.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/observe.h"
 #include "core/raster_targets.h"
@@ -18,8 +19,6 @@ StatusOr<std::unique_ptr<AccurateRasterJoin>> AccurateRasterJoin::Create(
   auto executor = std::unique_ptr<AccurateRasterJoin>(new AccurateRasterJoin(
       points, regions, options, viewport));
   executor->BuildPixelIndex();
-  executor->morton_ = raster::MortonSplatOrder::Build(
-      viewport, points.xs(), points.ys(), points.size());
   executor->sweep_ = internal::BuildSweepGeometry(
       viewport, regions, internal::SweepMode::kAccurate,
       /*with_boundary=*/true, /*triangle_pipeline=*/false);
@@ -80,20 +79,31 @@ StatusOr<QueryResult> AccurateRasterJoin::DoExecute(
   if (query.aggregate.NeedsAttribute()) {
     attr = points_.AttributeByName(query.aggregate.attribute);
   }
+  // Pass 1: a dense selection splats straight from the pixel index (one
+  // pixel range per worker); a sparse one walks its rows. Both fold each
+  // pixel's points in row order, so the targets are bit-identical.
   WallTimer splat_timer;
-  const internal::SplatSchedule schedule =
-      internal::BuildSplatSchedule(viewport_, points_, selection, &morton_);
+  stats.points_scanned = selection.ids.size();
   const internal::TargetsPool::Lease lease = targets_.Acquire();
   internal::AggregateTargets& targets = *lease;
-  internal::BuildAggregateTargets(viewport_, schedule, attr,
-                                  query.aggregate.kind,
-                                  options_.use_float32_targets,
-                                  /*need_abs_sum=*/false, targets,
-                                  exec.Splat());
+  if (internal::UseDenseSchedule(selection.ids.size(), points_.size())) {
+    internal::SplatPixelIndex(viewport_, pixel_offsets_, pixel_points_,
+                              selection.bitmap, attr, query.aggregate.kind,
+                              options_.use_float32_targets, targets,
+                              exec.Splat());
+  } else {
+    const internal::SplatSchedule schedule = internal::BuildSplatSchedule(
+        viewport_, points_, std::move(selection.ids), selection.bitmap,
+        nullptr);
+    internal::BuildAggregateTargets(viewport_, schedule, attr,
+                                    query.aggregate.kind,
+                                    options_.use_float32_targets,
+                                    /*need_abs_sum=*/false, targets,
+                                    exec.Splat());
+  }
   stats.splat_seconds = splat_timer.ElapsedSeconds();
   TracePass(query.trace, exec_span.id(), "splat", stats.splat_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
-  stats.points_scanned = selection.ids.size();
 
   // Pass 2: regions are partitioned across the pool. Each part's cached
   // boundary pixels are refined exactly (in cached emission order) and its
@@ -189,7 +199,7 @@ StatusOr<QueryResult> AccurateRasterJoin::DoExecute(
 std::size_t AccurateRasterJoin::MemoryBytes() const {
   return pixel_offsets_.capacity() * sizeof(std::uint32_t) +
          pixel_points_.capacity() * sizeof(std::uint32_t) +
-         morton_.MemoryBytes() + sweep_.MemoryBytes();
+         sweep_.MemoryBytes();
 }
 
 }  // namespace urbane::core

@@ -43,20 +43,23 @@ class AccurateRasterJoin : public SpatialAggregationExecutor {
   StatusOr<QueryResult> DoExecute(const AggregationQuery& query,
                                   ExecutorStats& stats) const override;
 
-  /// CSR pixel -> point ids, built once over all points.
+  /// CSR pixel -> point ids, built once over all points by a stable
+  /// counting sort (each pixel's ids ascend).
   void BuildPixelIndex();
 
   const data::PointTable& points_;
   const data::RegionSet& regions_;
   RasterJoinOptions options_;
   raster::Viewport viewport_;
+  // The pixel index serves both passes: the exact boundary tests read the
+  // points of one pixel, and a dense selection splats pixel by pixel from
+  // it (its writes walk the canvas in order, with no second, Morton-sorted
+  // copy of the points).
   std::vector<std::uint32_t> pixel_offsets_;  // W*H + 1
   std::vector<std::uint32_t> pixel_points_;   // point ids grouped by pixel
-  // Query-independent caches (see BoundedRasterJoin): Z-ordered splat
-  // schedule and per-region sweep spans. The accurate cache additionally
-  // pre-cuts each part's boundary pixels out of its interior spans, so the
-  // sweep loop runs without per-pixel stamp checks.
-  raster::MortonSplatOrder morton_;
+  // Per-region sweep spans (see BoundedRasterJoin), with each part's
+  // boundary pixels pre-cut out of its interior spans, so the sweep loop
+  // runs without per-pixel stamp checks.
   internal::SweepGeometry sweep_;
   // Warm render targets, one per in-flight call (see
   // BoundedRasterJoin::targets_).

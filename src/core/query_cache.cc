@@ -141,16 +141,13 @@ void QueryCache::TrimLocked(Shard& shard) {
   }
 }
 
-std::optional<QueryResult> QueryCache::Lookup(std::uint64_t key,
-                                              bool record_miss) {
+std::optional<QueryResult> QueryCache::Lookup(std::uint64_t key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    if (record_miss) {
-      ++shard.misses;
-      BumpCacheCounter("cache.misses");
-    }
+    ++shard.misses;
+    BumpCacheCounter("cache.misses");
     return std::nullopt;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);

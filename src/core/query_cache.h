@@ -87,11 +87,8 @@ class QueryCache {
   }
 
   /// Returns a copy of the entry and marks it most-recently-used, or
-  /// nullopt. `record_miss=false` suppresses the miss counter — used for
-  /// the double-checked re-probe after acquiring an execution lock, so one
-  /// logical probe is not counted as two misses.
-  std::optional<QueryResult> Lookup(std::uint64_t key,
-                                    bool record_miss = true);
+  /// nullopt.
+  std::optional<QueryResult> Lookup(std::uint64_t key);
 
   /// The half-open time interval [begin, end) a cached answer depends on.
   /// An entry tagged with one is *closed over time*: rows outside the

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "core/observe.h"
 #include "core/raster_targets.h"
@@ -122,8 +123,10 @@ StatusOr<QueryResult> BoundedRasterJoin::DoExecute(
   // abs-sum targets only bound SUM's error; COUNT/AVG/MIN/MAX report the
   // boundary point count (see QueryResult::error_bounds docs).
   WallTimer splat_timer;
-  const internal::SplatSchedule schedule =
-      internal::BuildSplatSchedule(viewport_, points_, selection, &morton_);
+  const internal::SplatSchedule schedule = internal::BuildSplatSchedule(
+      viewport_, points_, std::move(selection.ids), selection.bitmap,
+      &morton_);
+  stats.points_scanned = schedule.size();
   const internal::TargetsPool::Lease lease = targets_.Acquire();
   internal::AggregateTargets& targets = *lease;
   internal::BuildAggregateTargets(
@@ -135,7 +138,6 @@ StatusOr<QueryResult> BoundedRasterJoin::DoExecute(
   stats.splat_seconds = splat_timer.ElapsedSeconds();
   TracePass(query.trace, exec_span.id(), "splat", stats.splat_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
-  stats.points_scanned = selection.ids.size();
 
   // --- pass 2: sweep the cached region spans, one contiguous region range
   //     per worker; spans are walked in the exact order the scan converter
@@ -238,14 +240,15 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
   stats.filter_seconds = filter_timer.ElapsedSeconds();
   TracePass(trace, exec_span.id(), "filter", stats.filter_seconds);
   URBANE_RETURN_IF_ERROR(queries.front().CheckControl());
-  stats.points_scanned = selection.ids.size();
 
   // --- shared pass 1: the pixel indices are computed once for the whole
   //     batch; one count splat + one sum / min-max splat per distinct
   //     attribute the batch touches ---
   WallTimer splat_timer;
-  const internal::SplatSchedule schedule =
-      internal::BuildSplatSchedule(viewport_, points_, selection, &morton_);
+  const internal::SplatSchedule schedule = internal::BuildSplatSchedule(
+      viewport_, points_, std::move(selection.ids), selection.bitmap,
+      &morton_);
+  stats.points_scanned = schedule.size();
   raster::Buffer2D<std::uint32_t> count(viewport_.width(),
                                         viewport_.height(), 0);
   raster::ParallelSplatIndexed(

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/aggregate.h"
@@ -18,72 +19,84 @@
 #include "raster/point_splat.h"
 #include "raster/tile_raster.h"
 #include "raster/viewport.h"
+#include "util/thread_pool.h"
 
 namespace urbane::core::internal {
 
-/// The points one query splats, gathered into contiguous arrays with their
-/// framebuffer index precomputed once (SIMD, raster/kernels.h) and shared by
-/// every render target — the seed path recomputed PixelForPoint per point
-/// per target, up to five times for SUM with error bounds.
+/// The points one query splats, with their framebuffer index precomputed
+/// once (SIMD, raster/kernels.h) and shared by every render target — the
+/// seed path recomputed PixelForPoint per point per target, up to five
+/// times for SUM with error bounds.
 struct SplatSchedule {
   std::vector<std::uint32_t> ids;      // original rows, schedule order
   std::vector<std::uint32_t> indices;  // pixel index per position
                                        // (raster::kInvalidPixel = off canvas)
-  bool morton = false;                 // schedule follows the Z-order curve
   std::size_t size() const { return ids.size(); }
 };
 
-/// Morton-ordered splats only pay off when the schedule covers most of the
-/// dataset: walking the full Morton permutation costs O(table size), so a
-/// sparse selection is cheaper in row order. The gate reads only sizes and
-/// is therefore deterministic across SIMD levels and thread counts.
-inline bool UseMortonSchedule(const FilterSelection& selection,
-                              std::size_t table_size) {
-  return selection.ids.size() * 4 >= table_size;
+/// Whether a selection is dense enough for a whole-table walk (the bounded
+/// executor's Morton order, the accurate executor's pixel index): either
+/// costs O(table size), so a sparse selection is cheaper in row order. The
+/// gate reads only sizes and is therefore deterministic across SIMD levels
+/// and thread counts.
+inline bool UseDenseSchedule(std::size_t selected, std::size_t table_size) {
+  return selected * 4 >= table_size;
 }
 
-/// Gathers the selected rows into a splat schedule — along the Z-order
-/// curve when `morton` is built and the selection is dense enough, else in
-/// ascending row order (the seed's order). The Morton key is pixel-granular
-/// and the underlying sort is stable, so points of one pixel keep their row
-/// order either way: per-pixel accumulation, and hence every query result,
-/// is bit-identical under both schedules.
+/// Turns a filter selection (`ids` and `bitmap`, see FilterSelection) into
+/// a splat schedule — along the Z-order curve when `morton` is built and
+/// the selection is dense, else in ascending row order (the seed's order).
+/// The schedule takes over the `ids` buffer; the Morton walk rewrites it in
+/// place, reading only the bitmap. Coordinates reach the index kernel
+/// through a fixed stack chunk, so the only per-point allocation is
+/// `indices`. The Morton key is pixel-granular and the underlying sort is
+/// stable, so points of one pixel keep their row order either way:
+/// per-pixel accumulation, and hence every query result, is bit-identical
+/// under both schedules.
 inline SplatSchedule BuildSplatSchedule(
     const raster::Viewport& vp, const data::PointTable& table,
-    const FilterSelection& selection,
+    std::vector<std::uint32_t> ids, const std::vector<std::uint8_t>& bitmap,
     const raster::MortonSplatOrder* morton) {
+  constexpr std::size_t kChunk = 1024;
+  float xs[kChunk];
+  float ys[kChunk];
   SplatSchedule s;
-  std::vector<float> xs;
-  std::vector<float> ys;
-  const std::size_t n = selection.ids.size();
-  s.ids.reserve(n);
-  xs.reserve(n);
-  ys.reserve(n);
+  s.ids = std::move(ids);
+  const std::size_t n = s.ids.size();
+  s.indices.resize(n);
+  std::uint32_t* out_ids = s.ids.data();
+  std::uint32_t* indices = s.indices.data();
   if (morton != nullptr && morton->enabled() &&
-      morton->size() == table.size() &&
-      selection.bitmap.size() == table.size() &&
-      UseMortonSchedule(selection, table.size())) {
-    s.morton = true;
+      morton->size() == table.size() && bitmap.size() == table.size() &&
+      UseDenseSchedule(n, table.size())) {
     const std::vector<std::uint32_t>& order = morton->ids();
     const std::vector<float>& mxs = morton->xs();
     const std::vector<float>& mys = morton->ys();
-    for (std::size_t k = 0; k < order.size(); ++k) {
+    std::size_t w = 0;
+    for (std::size_t k = 0; k < order.size() && w < n; ++k) {
       const std::uint32_t id = order[k];
-      if (!selection.bitmap[id]) continue;
-      s.ids.push_back(id);
-      xs.push_back(mxs[k]);
-      ys.push_back(mys[k]);
+      if (!bitmap[id]) continue;
+      xs[w % kChunk] = mxs[k];
+      ys[w % kChunk] = mys[k];
+      out_ids[w++] = id;
+      if (w % kChunk == 0) {
+        raster::ComputeSplatIndices(vp, xs, ys, kChunk, indices + w - kChunk);
+      }
     }
-  } else {
-    for (const std::uint32_t id : selection.ids) {
-      s.ids.push_back(id);
-      xs.push_back(table.xs()[id]);
-      ys.push_back(table.ys()[id]);
-    }
+    const std::size_t tail = w % kChunk;
+    raster::ComputeSplatIndices(vp, xs, ys, tail, indices + w - tail);
+    s.ids.resize(w);  // no-op unless the bitmap disagrees with the ids
+    s.indices.resize(w);
+    return s;
   }
-  s.indices.resize(s.ids.size());
-  raster::ComputeSplatIndices(vp, xs.data(), ys.data(), s.ids.size(),
-                              s.indices.data());
+  for (std::size_t begin = 0; begin < n; begin += kChunk) {
+    const std::size_t len = std::min(kChunk, n - begin);
+    for (std::size_t k = 0; k < len; ++k) {
+      xs[k] = table.xs()[out_ids[begin + k]];
+      ys[k] = table.ys()[out_ids[begin + k]];
+    }
+    raster::ComputeSplatIndices(vp, xs, ys, len, indices + begin);
+  }
   return s;
 }
 
@@ -297,6 +310,121 @@ inline void BuildAggregateTargets(
         par, vp, indices, n, raster::BlendOp::kMax,
         [&](std::size_t k) { return attr[schedule.ids[k]]; }, t.max_value);
   }
+}
+
+/// Pass 1 straight from a CSR pixel -> point index (`offsets` has W*H + 1
+/// entries; `point_ids` lists each pixel's rows in ascending row order):
+/// every pixel folds the selected points of its list into count/sum/min/max
+/// in that order, which is the order every schedule splats one pixel's
+/// points in — so each target is bit-identical to BuildAggregateTargets
+/// over the same selection (abs_sum is never built). Partitions are
+/// contiguous pixel ranges balanced by point count; each pixel has exactly
+/// one writer, so any partition count gives the serial result with no
+/// partial buffers. Every count cell is written, so no canvas clear either.
+inline void SplatPixelIndex(const raster::Viewport& vp,
+                            const std::vector<std::uint32_t>& offsets,
+                            const std::vector<std::uint32_t>& point_ids,
+                            const std::vector<std::uint8_t>& bitmap,
+                            const float* attr, AggregateKind kind,
+                            bool float32, AggregateTargets& t,
+                            const raster::SplatParallelism& par =
+                                raster::SplatParallelism()) {
+  t.float32 = float32;
+  t.need_sum = kind == AggregateKind::kSum || kind == AggregateKind::kAvg;
+  t.need_minmax = kind == AggregateKind::kMin || kind == AggregateKind::kMax;
+  t.need_abs_sum = false;
+  const int w = vp.width();
+  const int h = vp.height();
+  EnsureAllocated(t.count, w, h);
+  if (t.need_sum) {
+    if (float32) {
+      EnsureAllocated(t.sum32, w, h);
+    } else {
+      EnsureAllocated(t.sum, w, h);
+    }
+  }
+  if (t.need_minmax) {
+    EnsureAllocated(t.min_value, w, h);
+    EnsureAllocated(t.max_value, w, h);
+  }
+  std::uint32_t* count = t.count.data().data();
+  double* sum = t.sum.empty() ? nullptr : t.sum.data().data();
+  float* sum32 = t.sum32.empty() ? nullptr : t.sum32.data().data();
+  float* min_v = t.min_value.empty() ? nullptr : t.min_value.data().data();
+  float* max_v = t.max_value.empty() ? nullptr : t.max_value.data().data();
+  const bool need_sum = t.need_sum;
+  const bool need_minmax = t.need_minmax;
+  auto splat_pixels = [&](std::size_t begin, std::size_t end) {
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    for (std::size_t p = begin; p < end; ++p) {
+      const std::uint32_t k_end = offsets[p + 1];
+      std::uint32_t c = 0;
+      if (!need_sum && !need_minmax) {
+        for (std::uint32_t k = offsets[p]; k < k_end; ++k) {
+          c += bitmap[point_ids[k]] != 0;
+        }
+        count[p] = c;
+        continue;
+      }
+      double s = 0.0;
+      float s32 = 0.0f;
+      float lo = kInf;
+      float hi = -kInf;
+      for (std::uint32_t k = offsets[p]; k < k_end; ++k) {
+        const std::uint32_t id = point_ids[k];
+        if (!bitmap[id]) continue;
+        ++c;
+        const float v = attr[id];
+        if (need_sum) {
+          if (float32) {
+            s32 += v;
+          } else {
+            s += static_cast<double>(v);
+          }
+        }
+        if (need_minmax) {
+          lo = std::min(lo, v);
+          hi = std::max(hi, v);
+        }
+      }
+      count[p] = c;
+      if (c == 0) continue;  // value cells are only read where count > 0
+      if (need_sum) {
+        if (float32) {
+          sum32[p] = s32;
+        } else {
+          sum[p] = s;
+        }
+      }
+      if (need_minmax) {
+        min_v[p] = lo;
+        max_v[p] = hi;
+      }
+    }
+  };
+  const std::size_t num_pixels = offsets.size() - 1;
+  const std::size_t total = offsets.back();
+  const std::size_t parts = par.EffectivePartitions();
+  if (parts <= 1 || total < par.min_points) {
+    splat_pixels(0, num_pixels);
+    return;
+  }
+  ThreadPool::Batch batch = par.pool->CreateBatch();
+  std::size_t begin = 0;
+  for (std::size_t part = 1; part <= parts; ++part) {
+    const std::size_t end =
+        part == parts
+            ? num_pixels
+            : static_cast<std::size_t>(
+                  std::lower_bound(offsets.begin(), offsets.end() - 1,
+                                   total * part / parts) -
+                  offsets.begin());
+    if (end > begin) {
+      batch.Submit([&splat_pixels, begin, end] { splat_pixels(begin, end); });
+    }
+    begin = std::max(begin, end);
+  }
+  batch.Wait();
 }
 
 /// Folds one covered pixel into a region accumulator.

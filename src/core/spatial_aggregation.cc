@@ -66,61 +66,62 @@ SpatialAggregation::SpatialAggregation(const data::PointTable& points,
         return options;
       }()) {}
 
-StatusOr<SpatialAggregationExecutor*> SpatialAggregation::ExecutorLocked(
-    ExecutionMethod method) {
-  std::unique_ptr<SpatialAggregationExecutor>& slot =
-      executors_[MethodIndex(method)];
-  if (!slot) {
+StatusOr<std::shared_ptr<SpatialAggregationExecutor>>
+SpatialAggregation::ActiveExecutorLocked(ExecutionMethod method) {
+  const std::size_t n = num_shards_.load(std::memory_order_relaxed);
+  std::shared_ptr<SpatialAggregationExecutor>& slot =
+      n <= 1 ? executors_[MethodIndex(method)] : sharded_[MethodIndex(method)];
+  if (slot) return slot;
+  if (n <= 1) {
     URBANE_ASSIGN_OR_RETURN(
         slot, CreateExecutor(method, points_, regions_, raster_options_,
                              index_options_, exec_));
+    return slot;
   }
-  return slot.get();
+  shard::ShardedExecutorOptions options;
+  options.num_shards = n;
+  options.pool = exec_.pool;
+  // Block-aligned shard boundaries over a store-backed table: no block
+  // straddles two shards, so per-shard pruning stays whole-block.
+  if (zone_maps_ != nullptr && !zone_maps_->blocks().empty()) {
+    options.align_rows = zone_maps_->blocks().front().row_count;
+  }
+  URBANE_ASSIGN_OR_RETURN(
+      slot, shard::ShardedExecutor::Create(points_, regions_, method, options,
+                                           raster_options_, index_options_));
+  return slot;
 }
 
-StatusOr<SpatialAggregationExecutor*> SpatialAggregation::ActiveExecutorLocked(
+StatusOr<SpatialAggregation::Snapshot> SpatialAggregation::TakeSnapshot(
     ExecutionMethod method) {
-  const std::size_t n = num_shards_.load(std::memory_order_relaxed);
-  if (n <= 1) {
-    return ExecutorLocked(method);
-  }
-  std::unique_ptr<shard::ShardedExecutor>& slot = sharded_[MethodIndex(method)];
-  if (!slot) {
-    shard::ShardedExecutorOptions options;
-    options.num_shards = n;
-    options.pool = exec_.pool;
-    // Block-aligned shard boundaries over a store-backed table: no block
-    // straddles two shards, so per-shard pruning stays whole-block.
-    if (zone_maps_ != nullptr && !zone_maps_->blocks().empty()) {
-      options.align_rows = zone_maps_->blocks().front().row_count;
-    }
-    URBANE_ASSIGN_OR_RETURN(
-        slot, shard::ShardedExecutor::Create(points_, regions_, method,
-                                             options, raster_options_,
-                                             index_options_));
-  }
-  return static_cast<SpatialAggregationExecutor*>(slot.get());
+  std::lock_guard<std::mutex> lock(state_mu_);
+  Snapshot snapshot;
+  URBANE_ASSIGN_OR_RETURN(snapshot.executor, ActiveExecutorLocked(method));
+  snapshot.sharded = num_shards_.load(std::memory_order_relaxed) > 1;
+  snapshot.resolution = raster_options_.resolution;
+  snapshot.epoch = config_epoch_.load(std::memory_order_relaxed);
+  return snapshot;
 }
 
 StatusOr<SpatialAggregationExecutor*> SpatialAggregation::Executor(
     ExecutionMethod method) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  return ActiveExecutorLocked(method);
+  URBANE_ASSIGN_OR_RETURN(std::shared_ptr<SpatialAggregationExecutor> executor,
+                          ActiveExecutorLocked(method));
+  return executor.get();
 }
 
 void SpatialAggregation::set_num_shards(std::size_t num_shards) {
   if (num_shards == 0) num_shards = 1;
-  // No query may be in flight on the old fan-out while it changes, and
-  // cached results from the old configuration must never hit again (float
-  // SUM/AVG can differ bitwise across fan-outs) — same discipline as the
-  // ExecuteAuto resolution rebuild.
-  std::scoped_lock lock(method_mu_[0], method_mu_[1], method_mu_[2],
-                        method_mu_[3], state_mu_);
+  // Cached results from the old fan-out must never hit again (float SUM/AVG
+  // can differ bitwise across fan-outs) — same discipline as the
+  // ExecuteAuto resolution rebuild. Calls in flight keep their executor.
+  std::lock_guard<std::mutex> lock(state_mu_);
   if (num_shards_.load(std::memory_order_relaxed) == num_shards) {
     return;
   }
   num_shards_.store(num_shards, std::memory_order_release);
-  for (std::unique_ptr<shard::ShardedExecutor>& slot : sharded_) {
+  for (std::shared_ptr<SpatialAggregationExecutor>& slot : sharded_) {
     slot.reset();
   }
   config_epoch_.fetch_add(1, std::memory_order_acq_rel);
@@ -136,12 +137,9 @@ void SpatialAggregation::set_result_cache_max_bytes(std::size_t max_bytes) {
 
 std::uint64_t SpatialAggregation::Fingerprint(const AggregationQuery& query,
                                               ExecutionMethod method) const {
-  int resolution = 0;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    resolution = raster_options_.resolution;
-  }
-  return QueryCache::Fingerprint(query, method, resolution, config_epoch());
+  std::lock_guard<std::mutex> lock(state_mu_);
+  return QueryCache::Fingerprint(query, method, raster_options_.resolution,
+                                 config_epoch_.load(std::memory_order_relaxed));
 }
 
 StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
@@ -149,7 +147,7 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
   query.points = &points_;
   query.regions = &regions_;
   // Facade-level span: the executor's own span nests under it, so a trace
-  // shows cache/serialization overhead as the gap between the two.
+  // shows snapshot/cache overhead as the gap between the two.
   obs::TraceSpan facade_span(query.trace, "execute");
   facade_span.Tag("method", ExecutionMethodToString(method));
   const bool use_cache = cache_.enabled();
@@ -161,40 +159,22 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
     query.profile->method = ExecutionMethodToString(method);
     query.profile->cache = use_cache ? "miss" : "off";
   }
-  std::uint64_t key = 0;
-  auto probe = [&](bool record_miss) {
-    key = Fingerprint(query, method);
-    std::optional<QueryResult> hit = cache_.Lookup(key, record_miss);
-    if (hit.has_value()) {
+  URBANE_ASSIGN_OR_RETURN(const Snapshot snapshot, TakeSnapshot(method));
+  const std::uint64_t key = use_cache ? snapshot.Key(query, method) : 0;
+  if (use_cache) {
+    if (std::optional<QueryResult> hit = cache_.Lookup(key)) {
       if (query.trace != nullptr) query.trace->Tag("cache", "hit");
       if (query.profile != nullptr) query.profile->cache = "hit";
       if (cache_hit != nullptr) *cache_hit = true;
+      return std::move(*hit);
     }
-    return hit;
-  };
-  // Fast path: a hit costs one shard mutex, no executor serialization.
-  if (use_cache) {
-    if (std::optional<QueryResult> hit = probe(true)) return std::move(*hit);
   }
-  std::lock_guard<std::mutex> serialize(method_mu_[MethodIndex(method)]);
-  // Re-probe under the method lock: the config (and thus the key) is now
-  // stable, and a session that computed this entry while we waited for the
-  // lock turns this into a hit.
-  if (use_cache) {
-    if (std::optional<QueryResult> hit = probe(false)) return std::move(*hit);
-  }
-  SpatialAggregationExecutor* executor = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    URBANE_ASSIGN_OR_RETURN(executor, ActiveExecutorLocked(method));
-  }
-  // A query whose deadline expired while queued (e.g. behind the method
-  // lock) aborts here instead of paying for a doomed execution. Cache hits
-  // above are deliberately exempt: they are cheaper than the check is
-  // useful.
+  // A query whose deadline expired while queued aborts here instead of
+  // paying for a doomed execution. Cache hits above are deliberately
+  // exempt: they are cheaper than the check is useful.
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   // Zone-map pruning (store-backed tables): skip blocks the filter rules
-  // out. Computed after the cache probes (hits never pay for it) and kept
+  // out. Computed after the cache probe (hits never pay for it) and kept
   // alive on this frame through Execute. A caller-supplied range set wins.
   PruneResult prune;
   if (zone_maps_ != nullptr && query.candidate_ranges == nullptr &&
@@ -223,10 +203,10 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
       query.profile != nullptr ? obs::ThreadCpuSeconds() : 0.0;
   ExecutorStats stats;
   URBANE_ASSIGN_OR_RETURN(QueryResult result,
-                          executor->Execute(query, &stats));
+                          snapshot.executor->Execute(query, &stats));
   if (query.profile != nullptr) {
     query.profile->cpu_seconds += obs::ThreadCpuSeconds() - cpu_begin;
-    query.profile->method = executor->name();
+    query.profile->method = snapshot.executor->name();
     query.profile->threads_used = stats.threads_used;
     query.profile->totals = stats;
   }
@@ -336,91 +316,92 @@ StatusOr<std::vector<QueryResult>> SpatialAggregation::ExecuteMany(
   }
   // The shared-splat batch is a single-executor optimization; a sharded
   // engine answers each query through its scatter-gather path instead.
-  if (method == ExecutionMethod::kBoundedRaster && queries.size() > 1 &&
-      num_shards() <= 1) {
-    const bool use_cache = cache_.enabled();
-    std::vector<std::optional<QueryResult>> found(queries.size());
-    bool batch_ok = false;
-    {
-      std::lock_guard<std::mutex> serialize(method_mu_[MethodIndex(method)]);
-      std::vector<std::uint64_t> keys(queries.size(), 0);
-      std::vector<std::size_t> missing;
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        if (use_cache) {
-          keys[i] = Fingerprint(queries[i], method);
-          if (std::optional<QueryResult> hit = cache_.Lookup(keys[i])) {
-            found[i] = std::move(*hit);
-            continue;
-          }
-        }
-        missing.push_back(i);
-      }
-      if (missing.empty()) {
-        batch_ok = true;
-      } else {
-        SpatialAggregationExecutor* executor = nullptr;
-        {
-          std::lock_guard<std::mutex> lock(state_mu_);
-          URBANE_ASSIGN_OR_RETURN(executor, ExecutorLocked(method));
-        }
-        auto* raster = static_cast<BoundedRasterJoin*>(executor);
-        std::vector<AggregationQuery> pending;
-        pending.reserve(missing.size());
-        for (const std::size_t i : missing) {
-          pending.push_back(queries[i]);
-        }
-        // The batch path shares one filter evaluation (ExecuteBatch checks
-        // the filters are equal), so one prune serves every pending query.
-        PruneResult prune;
-        if (zone_maps_ != nullptr &&
-            !pending.front().filter.IsTrivial()) {
-          prune =
-              zone_maps_->Prune(pending.front().filter, points_.schema());
-          for (AggregationQuery& query : pending) {
-            if (query.candidate_ranges == nullptr) {
-              query.candidate_ranges = &prune.candidates;
-            }
-          }
-          if (obs::MetricsEnabled()) {
-            obs::MetricsRegistry::Global()
-                .GetCounter("store.blocks_pruned")
-                .Add(prune.blocks_pruned);
-          }
-        }
-        ExecutorStats stats;
-        auto batched = raster->ExecuteBatch(pending, &stats);
-        // One execution: like its trace, the front query's profile.
-        if (batched.ok() && pending.front().profile != nullptr) {
-          pending.front().profile->totals = stats;
-        }
-        if (batched.ok()) {
-          for (std::size_t k = 0; k < missing.size(); ++k) {
-            if (use_cache) {
-              cache_.Insert(keys[missing[k]], (*batched)[k],
-                            QueryCache::ValidTime(queries[missing[k]].filter));
-            }
-            found[missing[k]] = std::move((*batched)[k]);
-          }
-          batch_ok = true;
-        }
-        // Heterogeneous filters: fall through to per-query execution.
+  if (method == ExecutionMethod::kBoundedRaster && queries.size() > 1) {
+    URBANE_ASSIGN_OR_RETURN(const Snapshot snapshot, TakeSnapshot(method));
+    if (!snapshot.sharded) {
+      std::optional<std::vector<QueryResult>> batched =
+          ExecuteSharedSplat(queries, snapshot);
+      if (batched.has_value()) return std::move(*batched);
+    }
+  }
+  // One execution per query. Queries may share a profile (a bounded AVG
+  // partial's SUM and COUNT passes do): each call records into a private
+  // one, folded into the caller's in query order.
+  std::vector<QueryResult> results;
+  results.reserve(queries.size());
+  for (AggregationQuery& query : queries) {
+    obs::QueryProfile* const shared = query.profile;
+    obs::QueryProfile own;
+    if (shared != nullptr) query.profile = &own;
+    URBANE_ASSIGN_OR_RETURN(QueryResult result, Execute(query, method));
+    if (shared != nullptr) {
+      obs::FoldProfile(own, shared);
+      shared->method = own.method;
+      shared->wall_seconds += own.wall_seconds;
+      if (shared->cache != "miss") shared->cache = own.cache;
+    }
+    results.push_back(std::move(result));
+  }
+  return results;
+}
+
+std::optional<std::vector<QueryResult>> SpatialAggregation::ExecuteSharedSplat(
+    const std::vector<AggregationQuery>& queries, const Snapshot& snapshot) {
+  const bool use_cache = cache_.enabled();
+  std::vector<std::optional<QueryResult>> found(queries.size());
+  std::vector<std::uint64_t> keys(queries.size(), 0);
+  std::vector<AggregationQuery> pending;
+  std::vector<std::size_t> missing;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (use_cache) {
+      keys[i] = snapshot.Key(queries[i], ExecutionMethod::kBoundedRaster);
+      if (std::optional<QueryResult> hit = cache_.Lookup(keys[i])) {
+        found[i] = std::move(*hit);
+        continue;
       }
     }
-    if (batch_ok) {
-      std::vector<QueryResult> results;
-      results.reserve(queries.size());
-      for (std::optional<QueryResult>& result : found) {
-        results.push_back(std::move(*result));
+    missing.push_back(i);
+    pending.push_back(queries[i]);
+  }
+  if (!pending.empty()) {
+    // The batch path shares one filter evaluation (ExecuteBatch checks the
+    // filters are equal), so one prune serves every pending query.
+    PruneResult prune;
+    if (zone_maps_ != nullptr && !pending.front().filter.IsTrivial()) {
+      prune = zone_maps_->Prune(pending.front().filter, points_.schema());
+      for (AggregationQuery& query : pending) {
+        if (query.candidate_ranges == nullptr) {
+          query.candidate_ranges = &prune.candidates;
+        }
       }
-      return results;
+      if (obs::MetricsEnabled()) {
+        obs::MetricsRegistry::Global()
+            .GetCounter("store.blocks_pruned")
+            .Add(prune.blocks_pruned);
+      }
+    }
+    const auto& raster =
+        static_cast<const BoundedRasterJoin&>(*snapshot.executor);
+    ExecutorStats stats;
+    auto batched = raster.ExecuteBatch(pending, &stats);
+    // Heterogeneous filters: the caller falls back to per-query execution.
+    if (!batched.ok()) return std::nullopt;
+    // One execution: like its trace, the front query's profile.
+    if (pending.front().profile != nullptr) {
+      pending.front().profile->totals = stats;
+    }
+    for (std::size_t k = 0; k < missing.size(); ++k) {
+      if (use_cache) {
+        cache_.Insert(keys[missing[k]], (*batched)[k],
+                      QueryCache::ValidTime(queries[missing[k]].filter));
+      }
+      found[missing[k]] = std::move((*batched)[k]);
     }
   }
   std::vector<QueryResult> results;
   results.reserve(queries.size());
-  for (AggregationQuery& query : queries) {
-    URBANE_ASSIGN_OR_RETURN(QueryResult result,
-                            Execute(query, method));
-    results.push_back(std::move(result));
+  for (std::optional<QueryResult>& result : found) {
+    results.push_back(std::move(*result));
   }
   return results;
 }
@@ -470,12 +451,11 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
     obs::EmitEvent(chose);
   }
   // Honor a tighter epsilon by rebuilding the bounded executor's canvas.
-  // The rebuild holds the raster method mutex (no session can be mid-query
-  // on the old executor) and bumps the config epoch, which retires every
-  // cache entry computed at the old, coarser ε.
+  // The swap bumps the config epoch, which retires every cache entry
+  // computed at the old, coarser ε; sessions mid-query on the old executor
+  // finish on it (see the class comment).
   if (plan.method == ExecutionMethod::kBoundedRaster) {
-    std::scoped_lock rebuild(
-        method_mu_[MethodIndex(ExecutionMethod::kBoundedRaster)], state_mu_);
+    std::lock_guard<std::mutex> lock(state_mu_);
     if (plan.resolution > raster_options_.resolution) {
       raster_options_.resolution = plan.resolution;
       executors_[MethodIndex(ExecutionMethod::kBoundedRaster)].reset();

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/accurate_join.h"
@@ -47,12 +48,17 @@ StatusOr<std::unique_ptr<SpatialAggregationExecutor>> CreateExecutor(
 ///
 /// Thread-safety contract: one engine serves many concurrent sessions.
 /// Execute / ExecuteMany / ExecuteAuto / EstimateSelectivity may be called
-/// from any number of threads. Executors are stateless, but execution is
-/// serialized per method: the lock keeps queries off an executor a rebuild
-/// (ExecuteAuto's resolution bump, set_num_shards) replaces, and holds each
-/// method to one warm canvas, which bounds resident memory. Result-cache
-/// hits bypass that lock entirely, taking only a cache shard mutex, which
-/// is what keeps revisited brush states concurrent.
+/// from any number of threads, and any number of them may run one method
+/// at once: executors are stateless and const, so a call only takes
+/// state_mu_ long enough to snapshot {executor, canvas resolution, config
+/// epoch}, then runs with no lock held. A rebuild (ExecuteAuto's
+/// resolution bump, set_num_shards) swaps the executor slot and bumps the
+/// epoch under state_mu_; calls already in flight keep the retired
+/// executor alive through their snapshot and cache their answers under the
+/// retired epoch's key, which no later lookup computes. Each raster call
+/// checks a warm canvas out of its executor's TargetsPool, so resident
+/// canvases grow to the number of calls in flight (bounded by the
+/// caller's — e.g. the server's — worker count).
 class SpatialAggregation {
  public:
   /// `points`/`regions` must outlive this object.
@@ -86,8 +92,9 @@ class SpatialAggregation {
 
   /// Builds (or returns the cached) executor for a method. Construction is
   /// thread-safe; the pointer stays valid until the engine rebuilds that
-  /// executor (e.g. an ExecuteAuto resolution bump), so concurrent sessions
-  /// should prefer Execute over holding executor pointers.
+  /// executor (e.g. an ExecuteAuto resolution bump) and the last call
+  /// running on it returns, so concurrent sessions should prefer Execute
+  /// over holding executor pointers.
   StatusOr<SpatialAggregationExecutor*> Executor(ExecutionMethod method);
 
   /// Result cache (core::QueryCache): interactive sessions revisit query
@@ -103,9 +110,9 @@ class SpatialAggregation {
   /// (block-aligned when zone maps are attached), each shard executes the
   /// chosen method serially on the shared pool, and the partials merge per
   /// the shard-merge contract (see shard/shard_merge.h). 0 and 1 both mean
-  /// unsharded. Takes every method mutex (no query can be in flight on the
-  /// old configuration) and bumps the config epoch, so cached results from
-  /// a different fan-out can never hit.
+  /// unsharded. Queries in flight finish on the fan-out they started with;
+  /// the config epoch bump means their results, and any cached under a
+  /// different fan-out, can never hit again.
   void set_num_shards(std::size_t num_shards);
   std::size_t num_shards() const {
     return num_shards_.load(std::memory_order_acquire);
@@ -167,18 +174,38 @@ class SpatialAggregation {
   StatusOr<double> EstimateSelectivity(const FilterSpec& filter) const;
 
  private:
+  /// Test seam: installs an executor into a slot, e.g. one that holds a
+  /// call mid-execution (tests/core/engine_concurrency_test.cc).
+  friend class SpatialAggregationTestPeer;
+
   static constexpr std::size_t kNumMethods = 4;
   static std::size_t MethodIndex(ExecutionMethod method) {
     return static_cast<std::size_t>(method);
   }
 
-  /// The plain executor, built on first use. Requires state_mu_ held.
-  StatusOr<SpatialAggregationExecutor*> ExecutorLocked(ExecutionMethod method);
+  /// One consistent view of a method's configuration, taken under
+  /// state_mu_: the executor a call runs and the cache-key inputs of that
+  /// same configuration. Keeping both in one snapshot is what stops a call
+  /// from caching an old executor's answer under a new epoch's key.
+  struct Snapshot {
+    std::shared_ptr<const SpatialAggregationExecutor> executor;
+    bool sharded = false;
+    int resolution = 0;
+    std::uint64_t epoch = 0;
 
-  /// The executor Execute dispatches to: the sharded wrapper when
-  /// `num_shards() > 1`, the plain executor otherwise. Requires state_mu_
-  /// held.
-  StatusOr<SpatialAggregationExecutor*> ActiveExecutorLocked(
+    std::uint64_t Key(const AggregationQuery& query,
+                      ExecutionMethod method) const {
+      return QueryCache::Fingerprint(query, method, resolution, epoch);
+    }
+  };
+
+  /// Snapshots `method`, building its executor on first use: the sharded
+  /// wrapper when `num_shards() > 1`, the plain executor otherwise.
+  StatusOr<Snapshot> TakeSnapshot(ExecutionMethod method);
+
+  /// The executor Execute dispatches to (see TakeSnapshot). Requires
+  /// state_mu_ held.
+  StatusOr<std::shared_ptr<SpatialAggregationExecutor>> ActiveExecutorLocked(
       ExecutionMethod method);
 
   /// The baseline query path (cache probe + executor dispatch), free of
@@ -188,9 +215,16 @@ class SpatialAggregation {
                                           ExecutionMethod method,
                                           bool* cache_hit);
 
-  /// Cache key for `query` under the engine's *current* config (snapshots
-  /// resolution + epoch under state_mu_). Stable while the query's
-  /// method_mu_ is held, since rebuilds take that mutex too.
+  /// ExecuteMany's shared-splat batch on an unsharded bounded snapshot:
+  /// probes the cache per query and runs only the misses, as one
+  /// BoundedRasterJoin::ExecuteBatch. nullopt when the batch cannot run
+  /// (unequal filters) and the caller must execute query by query.
+  std::optional<std::vector<QueryResult>> ExecuteSharedSplat(
+      const std::vector<AggregationQuery>& queries, const Snapshot& snapshot);
+
+  /// Cache key for `query` under the engine's current config — the
+  /// identity journal events and slow-query records carry. A query's own
+  /// cache traffic uses its Snapshot's key instead.
   std::uint64_t Fingerprint(const AggregationQuery& query,
                             ExecutionMethod method) const;
 
@@ -200,18 +234,19 @@ class SpatialAggregation {
   ExecutionContext exec_;
   const ZoneMapIndex* zone_maps_ = nullptr;  // set before first query
 
-  /// Guards executor pointers, raster_options_ and last_plan_.
+  /// Guards the executor slots, raster_options_, num_shards_,
+  /// config_epoch_ writes and last_plan_ (see the class comment).
   mutable std::mutex state_mu_;
-  /// Serializes Execute per method (see the class comment).
-  std::array<std::mutex, kNumMethods> method_mu_;
 
   RasterJoinOptions raster_options_;  // resolution mutates in ExecuteAuto
-  /// Executors by MethodIndex, built lazily on first use.
-  std::array<std::unique_ptr<SpatialAggregationExecutor>, kNumMethods>
+  /// Executors by MethodIndex, built lazily on first use. A rebuild resets
+  /// a slot; calls in flight own the retired executor until they return.
+  std::array<std::shared_ptr<SpatialAggregationExecutor>, kNumMethods>
       executors_;
   /// Sharded wrappers, one per method, built lazily like the executors
   /// above whenever num_shards_ > 1 (the plain ones stay untouched).
-  std::array<std::unique_ptr<shard::ShardedExecutor>, kNumMethods> sharded_;
+  std::array<std::shared_ptr<SpatialAggregationExecutor>, kNumMethods>
+      sharded_;
   QueryPlan last_plan_;
 
   std::atomic<std::size_t> num_shards_{1};

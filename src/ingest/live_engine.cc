@@ -11,32 +11,6 @@
 
 namespace urbane::ingest {
 
-namespace {
-
-/// Adds one component's record to the live query's profile: costs,
-/// counters and shard rows (renumbered in list order) add up.
-void FoldComponentProfile(const obs::QueryProfile& component,
-                          obs::QueryProfile* live) {
-  live->totals.Add(component.totals);
-  live->cpu_seconds += component.cpu_seconds;
-  live->threads_used = std::max(live->threads_used, component.threads_used);
-  live->blocks_total += component.blocks_total;
-  live->blocks_pruned += component.blocks_pruned;
-  live->rows_pruned += component.rows_pruned;
-  live->store_blocks_scanned += component.store_blocks_scanned;
-  live->store_blocks_read += component.store_blocks_read;
-  live->store_cache_hits += component.store_cache_hits;
-  live->store_bytes_read += component.store_bytes_read;
-  live->scatter_seconds += component.scatter_seconds;
-  live->merge_seconds += component.merge_seconds;
-  for (obs::ShardProfileEntry entry : component.shards) {
-    entry.index = live->shards.size();
-    live->shards.push_back(entry);
-  }
-}
-
-}  // namespace
-
 const char LiveEngine::kHotTag = 0;
 
 LiveEngine::LiveEngine(LiveTable* table, const data::RegionSet* regions,
@@ -217,7 +191,7 @@ StatusOr<core::QueryResult> LiveEngine::ExecuteComposedLocked(
             }));
     partials.push_back(std::move(partial));
     if (query.profile != nullptr) {
-      FoldComponentProfile(component_profile, query.profile);
+      obs::FoldProfile(component_profile, query.profile);
     }
   }
   if (partials.empty()) {

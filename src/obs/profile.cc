@@ -1,5 +1,6 @@
 #include "obs/profile.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <ctime>
@@ -149,6 +150,25 @@ void ProfilePassCosts::Add(const ProfilePassCosts& other) {
   reduce_seconds += other.reduce_seconds;
   refine_seconds += other.refine_seconds;
   query_seconds += other.query_seconds;
+}
+
+void FoldProfile(const QueryProfile& part, QueryProfile* into) {
+  into->totals.Add(part.totals);
+  into->cpu_seconds += part.cpu_seconds;
+  into->threads_used = std::max(into->threads_used, part.threads_used);
+  into->blocks_total += part.blocks_total;
+  into->blocks_pruned += part.blocks_pruned;
+  into->rows_pruned += part.rows_pruned;
+  into->store_blocks_scanned += part.store_blocks_scanned;
+  into->store_blocks_read += part.store_blocks_read;
+  into->store_cache_hits += part.store_cache_hits;
+  into->store_bytes_read += part.store_bytes_read;
+  into->scatter_seconds += part.scatter_seconds;
+  into->merge_seconds += part.merge_seconds;
+  for (ShardProfileEntry entry : part.shards) {
+    entry.index = into->shards.size();
+    into->shards.push_back(entry);
+  }
 }
 
 data::JsonValue ProfilePassCosts::ToJson() const {

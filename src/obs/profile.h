@@ -169,6 +169,12 @@ struct QueryProfile {
   std::string ToTable() const;
 };
 
+/// Adds the record of one execution that is part of a larger one (a live
+/// component, one query of a facade batch) to `into`: costs, counters and
+/// shard rows (renumbered in fold order) add up; the facade-layer fields
+/// (method, cache, wall time) are left to the caller.
+void FoldProfile(const QueryProfile& part, QueryProfile* into);
+
 /// Zeroes every measured (`*_seconds`) field of an urbane.profile.v1
 /// document in place, leaving the deterministic skeleton golden tests
 /// compare. Unknown keys are preserved untouched.

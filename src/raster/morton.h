@@ -16,11 +16,12 @@
 // (the parallel splat's partitions) preserves the same property per range,
 // so the existing partition-count determinism contract carries over.
 //
-// Lifecycle: executors build one order per (dataset, viewport) at Create
-// and reuse it across queries. Executors are themselves rebuilt whenever
-// the facade bumps its dataset epoch, which is what keeps the cache
-// consistent with QueryCache invalidation — there is no cross-epoch reuse
-// to guard against.
+// Lifecycle: only the bounded raster executor keeps an order (the accurate
+// one splats from its pixel -> point index instead). It builds one per
+// (dataset, viewport) at Create and reuses it across queries, and is itself
+// rebuilt whenever the facade bumps its dataset epoch, which is what keeps
+// the order consistent with QueryCache invalidation — there is no
+// cross-epoch reuse to guard against.
 
 #include <cstddef>
 #include <cstdint>

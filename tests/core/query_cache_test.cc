@@ -110,9 +110,9 @@ TEST(QueryCacheTest, EvictsLeastRecentlyUsed) {
   cache.Insert(2, MakeResult(2.0));
   ASSERT_TRUE(cache.Lookup(1).has_value());  // 2 is now the LRU entry
   cache.Insert(3, MakeResult(3.0));
-  EXPECT_TRUE(cache.Lookup(1, /*record_miss=*/false).has_value());
-  EXPECT_FALSE(cache.Lookup(2, /*record_miss=*/false).has_value());
-  EXPECT_TRUE(cache.Lookup(3, /*record_miss=*/false).has_value());
+  EXPECT_TRUE(cache.Lookup(1).has_value());
+  EXPECT_FALSE(cache.Lookup(2).has_value());
+  EXPECT_TRUE(cache.Lookup(3).has_value());
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().entries, 2u);
 }
@@ -131,7 +131,7 @@ TEST(QueryCacheTest, ByteBoundEvicts) {
   EXPECT_LE(stats.bytes, options.max_bytes);
   EXPECT_LT(stats.entries, 3u);
   EXPECT_GE(stats.evictions, 1u);
-  EXPECT_FALSE(cache.Lookup(1, /*record_miss=*/false).has_value());
+  EXPECT_FALSE(cache.Lookup(1).has_value());
 }
 
 TEST(QueryCacheTest, OversizedResultNotRetained) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/profile.h"
 #include "testing/test_worlds.h"
 
 namespace urbane::core {
@@ -133,6 +134,45 @@ TEST(SpatialAggregationTest, ExecuteManyHeterogeneousFiltersFallsBack) {
   const auto a = engine.Execute(batch[0], ExecutionMethod::kBoundedRaster);
   ASSERT_TRUE(a.ok());
   EXPECT_EQ((*many)[0].counts, a->counts);
+}
+
+TEST(SpatialAggregationTest, ExecuteManyFallbackFoldsEveryQueryProfile) {
+  // Unequal filters take the per-query fallback. Both queries share one
+  // profile, as a bounded AVG partial's SUM and COUNT passes do: it must
+  // add up both executions, not keep only the last.
+  const auto points = testing::MakeUniformPoints(3000, 96);
+  const auto regions = testing::MakeRandomRegions(3, 97);
+  RasterJoinOptions options;
+  options.resolution = 64;
+  SpatialAggregation engine(points, regions, options);
+  std::vector<AggregationQuery> batch(2);
+  batch[0].aggregate = AggregateSpec::Sum("v");
+  batch[0].filter.WithTime(0, 30000);
+  batch[1].filter.WithTime(20000, 86400);
+  std::vector<obs::QueryProfile> singles(batch.size());
+  for (std::size_t q = 0; q < batch.size(); ++q) {
+    AggregationQuery query = batch[q];
+    query.profile = &singles[q];
+    ASSERT_TRUE(engine.Execute(query, ExecutionMethod::kBoundedRaster).ok());
+  }
+  obs::QueryProfile folded;
+  for (AggregationQuery& query : batch) query.profile = &folded;
+  ASSERT_TRUE(engine.ExecuteMany(batch, ExecutionMethod::kBoundedRaster).ok());
+
+  const obs::ProfilePassCosts& a = singles[0].totals;
+  const obs::ProfilePassCosts& b = singles[1].totals;
+  const obs::ProfilePassCosts& sum = folded.totals;
+  ASSERT_GT(a.points_scanned, 0u);
+  ASSERT_GT(b.points_scanned, 0u);
+  EXPECT_EQ(sum.points_scanned, a.points_scanned + b.points_scanned);
+  EXPECT_EQ(sum.points_bulk, a.points_bulk + b.points_bulk);
+  EXPECT_EQ(sum.pip_tests, a.pip_tests + b.pip_tests);
+  EXPECT_EQ(sum.pixels_touched, a.pixels_touched + b.pixels_touched);
+  EXPECT_EQ(sum.boundary_pixels, a.boundary_pixels + b.boundary_pixels);
+  EXPECT_EQ(sum.tiles_visited, a.tiles_visited + b.tiles_visited);
+  EXPECT_EQ(sum.simd_fragments, a.simd_fragments + b.simd_fragments);
+  EXPECT_EQ(folded.method, "raster");
+  EXPECT_EQ(folded.cache, "off");
 }
 
 TEST(SpatialAggregationTest, ResultCacheHitsOnRepeatQueries) {

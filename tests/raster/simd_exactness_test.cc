@@ -14,6 +14,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/raster_targets.h"
 #include "geometry/triangulate.h"
 #include "raster/buffer.h"
 #include "raster/kernels.h"
@@ -378,6 +379,82 @@ TEST(MortonSplat, PerPixelAggregatesBitIdenticalPerBlendOp) {
                  [&](std::size_t k) { return weights[order.ids()[k]]; },
                  morton);
     ExpectBuffersBitEqual(row_order, morton);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Splatting from a CSR pixel index (the accurate executor's dense path) is
+// bit-identical to the row-order splat of the same selection.
+// ---------------------------------------------------------------------------
+
+TEST(PixelIndexSplat, TargetsBitIdenticalToRowOrderPerAggregate) {
+  const Viewport vp = LatticeCanvas(64, 64);
+  const std::size_t num_pixels = 64 * 64;
+  Rng rng(0x91C5);
+  const std::size_t n = 20000;
+  std::vector<float> xs(n);
+  std::vector<float> ys(n);
+  std::vector<float> weights(n);
+  std::vector<std::uint8_t> bitmap(n);
+  std::vector<std::uint32_t> ids;  // the selection, ascending
+  for (std::size_t i = 0; i < n; ++i) {
+    // Some points fall off the canvas; the index leaves them out.
+    xs[i] = static_cast<float>(rng.NextDouble(-2.0, 66.0));
+    ys[i] = static_cast<float>(rng.NextDouble(-2.0, 66.0));
+    weights[i] = static_cast<float>(rng.NextDouble(-10.0, 10.0));
+    bitmap[i] = rng.NextUint64(3) != 0 ? 1 : 0;
+    if (bitmap[i]) ids.push_back(static_cast<std::uint32_t>(i));
+  }
+  std::vector<std::uint32_t> pixel_of(n);
+  ComputeSplatIndices(vp, xs.data(), ys.data(), n, pixel_of.data());
+  // CSR index by a stable counting sort, as AccurateRasterJoin builds it.
+  std::vector<std::uint32_t> offsets(num_pixels + 1, 0);
+  for (const std::uint32_t p : pixel_of) {
+    if (p != kInvalidPixel) ++offsets[p + 1];
+  }
+  for (std::size_t p = 0; p < num_pixels; ++p) offsets[p + 1] += offsets[p];
+  std::vector<std::uint32_t> points(offsets.back());
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pixel_of[i] != kInvalidPixel) {
+      points[cursor[pixel_of[i]]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+  ASSERT_LT(points.size(), n);  // off-canvas points exist
+  core::internal::SplatSchedule row_order;
+  row_order.ids = ids;
+  for (const std::uint32_t id : ids) row_order.indices.push_back(pixel_of[id]);
+
+  ThreadPool pool(4);
+  using core::AggregateKind;
+  for (const AggregateKind kind :
+       {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kAvg,
+        AggregateKind::kMin, AggregateKind::kMax}) {
+    const float* attr =
+        kind == AggregateKind::kCount ? nullptr : weights.data();
+    for (const bool float32 : {false, true}) {
+      core::internal::AggregateTargets want;
+      core::internal::BuildAggregateTargets(vp, row_order, attr, kind,
+                                            float32, /*need_abs_sum=*/false,
+                                            want);
+      for (const std::size_t partitions : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "kind " << static_cast<int>(kind) << " float32 "
+                     << float32 << " partitions " << partitions);
+        SplatParallelism par;
+        par.pool = &pool;
+        par.partitions = partitions;
+        par.min_points = 0;
+        core::internal::AggregateTargets got;
+        core::internal::SplatPixelIndex(vp, offsets, points, bitmap, attr,
+                                        kind, float32, got, par);
+        ExpectBuffersBitEqual(want.count, got.count);
+        ExpectBuffersBitEqual(want.sum, got.sum);
+        ExpectBuffersBitEqual(want.sum32, got.sum32);
+        ExpectBuffersBitEqual(want.min_value, got.min_value);
+        ExpectBuffersBitEqual(want.max_value, got.max_value);
+      }
+    }
   }
 }
 
