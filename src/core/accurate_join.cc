@@ -68,10 +68,14 @@ StatusOr<QueryResult> AccurateRasterJoin::DoExecute(
   obs::TraceSpan exec_span(query.trace, "accurate");
   WallTimer timer;
 
+  // The call's canvas and filter buffers come warm from the lease. Ids are
+  // only written for a sparse selection: the dense path reads the bitmap.
+  const internal::TargetsPool::Lease lease = targets_.Acquire();
+  FilterSelection& selection = lease->selection;
   WallTimer filter_timer;
-  URBANE_ASSIGN_OR_RETURN(
-      FilterSelection selection,
-      EvaluateFilter(query.filter, points_, exec, query.candidate_ranges));
+  URBANE_RETURN_IF_ERROR(EvaluateFilter(
+      query.filter, points_, exec, query.candidate_ranges,
+      internal::MaxSparseIds(points_.size()), selection));
   stats.filter_seconds = filter_timer.ElapsedSeconds();
   TracePass(query.trace, exec_span.id(), "filter", stats.filter_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
@@ -83,19 +87,17 @@ StatusOr<QueryResult> AccurateRasterJoin::DoExecute(
   // pixel range per worker); a sparse one walks its rows. Both fold each
   // pixel's points in row order, so the targets are bit-identical.
   WallTimer splat_timer;
-  stats.points_scanned = selection.ids.size();
-  const internal::TargetsPool::Lease lease = targets_.Acquire();
-  internal::AggregateTargets& targets = *lease;
-  if (internal::UseDenseSchedule(selection.ids.size(), points_.size())) {
+  stats.points_scanned = selection.passing();
+  internal::AggregateTargets& targets = lease->targets;
+  if (internal::UseDenseSchedule(selection.passing(), points_.size())) {
     internal::SplatPixelIndex(viewport_, pixel_offsets_, pixel_points_,
                               selection.bitmap, attr, query.aggregate.kind,
                               options_.use_float32_targets, targets,
                               exec.Splat());
   } else {
-    const internal::SplatSchedule schedule = internal::BuildSplatSchedule(
-        viewport_, points_, std::move(selection.ids), selection.bitmap,
-        nullptr);
-    internal::BuildAggregateTargets(viewport_, schedule, attr,
+    internal::BuildSplatSchedule(viewport_, points_, selection, nullptr,
+                                 lease->schedule);
+    internal::BuildAggregateTargets(viewport_, lease->schedule, attr,
                                     query.aggregate.kind,
                                     options_.use_float32_targets,
                                     /*need_abs_sum=*/false, targets,

@@ -61,8 +61,8 @@ class AccurateRasterJoin : public SpatialAggregationExecutor {
   // boundary pixels pre-cut out of its interior spans, so the sweep loop
   // runs without per-pixel stamp checks.
   internal::SweepGeometry sweep_;
-  // Warm render targets, one per in-flight call (see
-  // BoundedRasterJoin::targets_).
+  // Warm render targets and filter buffers, one scratch per in-flight call
+  // (see BoundedRasterJoin::targets_).
   mutable internal::TargetsPool targets_;
 };
 

@@ -68,14 +68,34 @@ struct FilterSpec {
 
 /// FilterSpec resolved against a concrete schema (attribute names bound to
 /// column indices). Immutable after construction.
+///
+/// Float bounds: the spatial window is stored twice. Matches compares the
+/// float coordinates against the spec's double bounds, as the window
+/// always has; EvaluateRows compares them against float bounds rounded
+/// once at Compile — the smallest float >= each min and the largest float
+/// <= each max (a bound beyond +-FLT_MAX becomes +-FLT_MAX or +-inf, a NaN
+/// bound stays NaN). For a float coordinate x, x >= min in double exactly
+/// when x >= that float, so both give the same answer on every input,
+/// NaN coordinates and bounds included. Attribute ranges are rounded to
+/// float at Compile and a row passes when !(v < lo) && !(v > hi), so a
+/// NaN value passes.
 class CompiledFilter {
  public:
   /// Fails if an attribute name is unknown.
   static StatusOr<CompiledFilter> Compile(const FilterSpec& spec,
                                           const data::PointTable& table);
 
-  /// Row-level predicate.
+  /// Row-level predicate: the scan, index and quadtree executors' test and
+  /// the oracle EvaluateRows is checked against.
   bool Matches(const data::PointTable& table, std::size_t row) const;
+
+  /// The filter kernel: writes Matches(table, row) as 0/1 into
+  /// mask[row - begin] for every row of [begin, end) and returns how many
+  /// passed. Branch-free, one conjunct at a time over the whole range
+  /// (time on ts, then the window on xs/ys, then each attribute range), so
+  /// callers keep the range small enough for `mask` to stay in L1.
+  std::size_t EvaluateRows(const data::PointTable& table, std::size_t begin,
+                           std::size_t end, std::uint8_t* mask) const;
 
   bool IsTrivial() const {
     return !time_range_ && ranges_.empty() && !window_;
@@ -87,51 +107,84 @@ class CompiledFilter {
     float lo;
     float hi;
   };
+  struct FloatWindow {
+    float min_x;
+    float min_y;
+    float max_x;
+    float max_y;
+  };
 
   std::optional<TimeRange> time_range_;
   std::vector<BoundRange> ranges_;
   std::optional<geometry::BoundingBox> window_;
+  FloatWindow float_window_{};  // window_ rounded as described above
 };
 
-/// Filter evaluation output shared by all executors: a dense row bitmap and
-/// the surviving row ids.
+/// Filter evaluation output shared by all executors: a dense row bitmap,
+/// the survivor count and, when the caller asked for them, the surviving
+/// row ids.
+///
+///   * `bitmap` has one byte per table row, 1 where the row passes, and is
+///     always complete — rows outside the candidate ranges read 0.
+///   * `count` is the number of passing rows; passing() and Selectivity()
+///     read it, never ids.size().
+///   * `ids` lists the passing rows in ascending order when `count` is at
+///     most the evaluation's `max_ids`, and is empty otherwise. Callers
+///     that only read the bitmap (the accurate executor's dense pixel-index
+///     splat and its refine pass) pass a small `max_ids`, so no id is
+///     written for them.
+///
+/// The buffers are plain vectors owned by whoever owns the selection. The
+/// raster executors keep one in each TargetsPool lease beside the canvas:
+/// EvaluateFilter resizes a warm selection in place, so a steady-state
+/// query allocates no filter buffer, and the selection is valid until the
+/// lease is returned.
 struct FilterSelection {
   std::vector<std::uint8_t> bitmap;   // size == table.size()
-  std::vector<std::uint32_t> ids;     // rows where bitmap != 0
+  std::vector<std::uint32_t> ids;     // rows where bitmap != 0, see above
+  std::size_t count = 0;
 
-  std::size_t passing() const { return ids.size(); }
+  std::size_t passing() const { return count; }
   double Selectivity(std::size_t total) const {
     return total == 0 ? 0.0
-                      : static_cast<double>(ids.size()) /
+                      : static_cast<double>(count) /
                             static_cast<double>(total);
   }
 };
 
-/// Evaluates the filter over every row.
+/// Rows per block of EvaluateFilter's walk: the block's bitmap bytes (4 KB)
+/// and compacted ids (16 KB) stay in L1 while each conjunct passes over it.
+inline constexpr std::size_t kFilterBlockRows = 4096;
+
+/// `max_ids` value that always materializes the ids.
+inline constexpr std::size_t kAllIds = std::numeric_limits<std::size_t>::max();
+
+/// Evaluates the filter over every row into a fresh selection, ids
+/// included (the heatmap view and tests).
 StatusOr<FilterSelection> EvaluateFilter(const FilterSpec& spec,
                                          const data::PointTable& table);
 
-/// Parallel variant: rows are partitioned across `exec`'s pool, per-chunk
-/// survivor counts are prefix-summed, and the id list is written in place,
-/// so the output (bitmap and ascending ids) is identical to the serial
-/// evaluation at every thread count.
-StatusOr<FilterSelection> EvaluateFilter(const FilterSpec& spec,
-                                         const data::PointTable& table,
-                                         const ExecutionContext& exec);
-
-/// Zone-map-aware variant: rows outside `candidates` (null = all rows) are
-/// skipped without testing the predicate. Because pruned rows cannot match
-/// the filter, the selection is identical to the unpruned evaluation — the
-/// pruning only saves the per-row work.
-StatusOr<FilterSelection> EvaluateFilter(const FilterSpec& spec,
-                                         const data::PointTable& table,
-                                         const ExecutionContext& exec,
-                                         const RowRangeSet* candidates);
+/// Evaluates the filter into `out`, reusing its buffers. Rows outside
+/// `candidates` (null = all rows) are never tested: they cannot match, so
+/// the selection equals the unpruned one. Ids are materialized only when
+/// the survivor count is at most `max_ids` (see FilterSelection).
+///
+/// The table is walked in L1-sized blocks: each block's bitmap bytes are
+/// filled by CompiledFilter::EvaluateRows and, serially, its survivor ids
+/// are compacted while the block is still hot. On `exec`'s pool the rows
+/// are cut into one contiguous partition per thread, each running the
+/// same block walk for its bitmap and count; the counts are prefix-summed
+/// and each partition then writes its ids in place, so the output (bitmap,
+/// count, ascending ids) is identical at every thread count.
+Status EvaluateFilter(const FilterSpec& spec, const data::PointTable& table,
+                      const ExecutionContext& exec,
+                      const RowRangeSet* candidates, std::size_t max_ids,
+                      FilterSelection& out);
 
 /// Planning-time selectivity estimate: compiles the filter and counts
 /// matches over an evenly strided sample of at most `max_sample` rows — no
 /// bitmap or id vector is materialized, so the cost is O(min(n, max_sample))
-/// time and O(1) memory (vs the O(n) allocation of EvaluateFilter). Exact
+/// time and O(1) memory (vs EvaluateFilter's table-sized bitmap). Exact
 /// when the table fits in the sample; deterministic either way (stride
 /// sampling, no RNG).
 StatusOr<double> EstimateFilterSelectivity(const FilterSpec& spec,

@@ -109,10 +109,12 @@ StatusOr<QueryResult> BoundedRasterJoin::DoExecute(
 
   // --- filter + pass 1: splat the surviving points onto the canvas (pixel
   //     indices computed once, SIMD, and shared by every render target) ---
+  const internal::TargetsPool::Lease lease = targets_.Acquire();
+  FilterSelection& selection = lease->selection;
   WallTimer filter_timer;
-  URBANE_ASSIGN_OR_RETURN(
-      FilterSelection selection,
-      EvaluateFilter(query.filter, points_, exec, query.candidate_ranges));
+  URBANE_RETURN_IF_ERROR(EvaluateFilter(query.filter, points_, exec,
+                                        query.candidate_ranges, kAllIds,
+                                        selection));
   stats.filter_seconds = filter_timer.ElapsedSeconds();
   TracePass(query.trace, exec_span.id(), "filter", stats.filter_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
@@ -123,12 +125,11 @@ StatusOr<QueryResult> BoundedRasterJoin::DoExecute(
   // abs-sum targets only bound SUM's error; COUNT/AVG/MIN/MAX report the
   // boundary point count (see QueryResult::error_bounds docs).
   WallTimer splat_timer;
-  const internal::SplatSchedule schedule = internal::BuildSplatSchedule(
-      viewport_, points_, std::move(selection.ids), selection.bitmap,
-      &morton_);
+  internal::SplatSchedule& schedule = lease->schedule;
+  internal::BuildSplatSchedule(viewport_, points_, selection, &morton_,
+                               schedule);
   stats.points_scanned = schedule.size();
-  const internal::TargetsPool::Lease lease = targets_.Acquire();
-  internal::AggregateTargets& targets = *lease;
+  internal::AggregateTargets& targets = lease->targets;
   internal::BuildAggregateTargets(
       viewport_, schedule, attr, query.aggregate.kind,
       options_.use_float32_targets,
@@ -232,11 +233,14 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
   exec_span.Tag("batch_size", std::to_string(queries.size()));
   WallTimer timer;
 
+  // The batch builds its own per-attribute targets; the lease lends it
+  // only the filter and schedule buffers.
+  const internal::TargetsPool::Lease lease = targets_.Acquire();
+  FilterSelection& selection = lease->selection;
   WallTimer filter_timer;
-  URBANE_ASSIGN_OR_RETURN(
-      FilterSelection selection,
-      EvaluateFilter(queries.front().filter, points_, exec,
-                     queries.front().candidate_ranges));
+  URBANE_RETURN_IF_ERROR(EvaluateFilter(queries.front().filter, points_, exec,
+                                        queries.front().candidate_ranges,
+                                        kAllIds, selection));
   stats.filter_seconds = filter_timer.ElapsedSeconds();
   TracePass(trace, exec_span.id(), "filter", stats.filter_seconds);
   URBANE_RETURN_IF_ERROR(queries.front().CheckControl());
@@ -245,9 +249,9 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
   //     batch; one count splat + one sum / min-max splat per distinct
   //     attribute the batch touches ---
   WallTimer splat_timer;
-  const internal::SplatSchedule schedule = internal::BuildSplatSchedule(
-      viewport_, points_, std::move(selection.ids), selection.bitmap,
-      &morton_);
+  internal::SplatSchedule& schedule = lease->schedule;
+  internal::BuildSplatSchedule(viewport_, points_, selection, &morton_,
+                               schedule);
   stats.points_scanned = schedule.size();
   raster::Buffer2D<std::uint32_t> count(viewport_.width(),
                                         viewport_.height(), 0);

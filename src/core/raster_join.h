@@ -131,10 +131,11 @@ class BoundedRasterJoin : public SpatialAggregationExecutor {
   // neither can go stale.
   raster::MortonSplatOrder morton_;
   internal::SweepGeometry sweep_;
-  // Warm render targets, one checked out per in-flight call: a warm
-  // refill is several times cheaper than a fresh page-faulting allocation,
-  // and the serial fused scatter first-touch-initializes value targets so
-  // most queries only clear the count plane.
+  // Warm render targets, filter bitmap/ids and splat schedule, one
+  // scratch checked out per in-flight call: a warm refill is several times
+  // cheaper than a fresh page-faulting allocation, and the serial fused
+  // scatter first-touch-initializes value targets so most queries only
+  // clear the count plane.
   mutable internal::TargetsPool targets_;
 };
 

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -28,7 +29,8 @@ namespace urbane::core::internal {
 /// seed path recomputed PixelForPoint per point per target, up to five
 /// times for SUM with error bounds.
 struct SplatSchedule {
-  std::vector<std::uint32_t> ids;      // original rows, schedule order
+  std::span<const std::uint32_t> ids;  // original rows, schedule order
+                                       // (a view of the selection's ids)
   std::vector<std::uint32_t> indices;  // pixel index per position
                                        // (raster::kInvalidPixel = off canvas)
   std::size_t size() const { return ids.size(); }
@@ -43,35 +45,45 @@ inline bool UseDenseSchedule(std::size_t selected, std::size_t table_size) {
   return selected * 4 >= table_size;
 }
 
-/// Turns a filter selection (`ids` and `bitmap`, see FilterSelection) into
-/// a splat schedule — along the Z-order curve when `morton` is built and
-/// the selection is dense, else in ascending row order (the seed's order).
-/// The schedule takes over the `ids` buffer; the Morton walk rewrites it in
-/// place, reading only the bitmap. Coordinates reach the index kernel
-/// through a fixed stack chunk, so the only per-point allocation is
-/// `indices`. The Morton key is pixel-granular and the underlying sort is
-/// stable, so points of one pixel keep their row order either way:
-/// per-pixel accumulation, and hence every query result, is bit-identical
-/// under both schedules.
-inline SplatSchedule BuildSplatSchedule(
-    const raster::Viewport& vp, const data::PointTable& table,
-    std::vector<std::uint32_t> ids, const std::vector<std::uint8_t>& bitmap,
-    const raster::MortonSplatOrder* morton) {
+/// The largest selection UseDenseSchedule turns down: the most ids a
+/// row-order schedule over `table_size` rows can need (EvaluateFilter's
+/// `max_ids` for callers that take the dense path otherwise).
+inline std::size_t MaxSparseIds(std::size_t table_size) {
+  return table_size == 0 ? 0 : (table_size - 1) / 4;
+}
+
+/// Turns a filter selection (ids materialized, see FilterSelection) into
+/// the splat schedule `s` — along the Z-order curve when `morton` is built
+/// and the selection is dense, else in ascending row order (the seed's
+/// order). The schedule's ids view the selection's id buffer; the Morton
+/// walk rewrites that buffer in place, reading only the bitmap.
+/// Coordinates reach the index kernel through a fixed stack chunk, and
+/// `s.indices` is resized in place, so a warm schedule allocates nothing.
+/// The Morton key is pixel-granular and the underlying sort is stable, so
+/// points of one pixel keep their row order either way: per-pixel
+/// accumulation, and hence every query result, is bit-identical under both
+/// schedules.
+inline void BuildSplatSchedule(const raster::Viewport& vp,
+                               const data::PointTable& table,
+                               FilterSelection& selection,
+                               const raster::MortonSplatOrder* morton,
+                               SplatSchedule& s) {
   constexpr std::size_t kChunk = 1024;
   float xs[kChunk];
   float ys[kChunk];
-  SplatSchedule s;
-  s.ids = std::move(ids);
-  const std::size_t n = s.ids.size();
+  const std::size_t n = selection.ids.size();
   s.indices.resize(n);
-  std::uint32_t* out_ids = s.ids.data();
+  std::uint32_t* out_ids = selection.ids.data();
   std::uint32_t* indices = s.indices.data();
+  s.ids = selection.ids;
   if (morton != nullptr && morton->enabled() &&
-      morton->size() == table.size() && bitmap.size() == table.size() &&
+      morton->size() == table.size() &&
+      selection.bitmap.size() == table.size() &&
       UseDenseSchedule(n, table.size())) {
     const std::vector<std::uint32_t>& order = morton->ids();
     const std::vector<float>& mxs = morton->xs();
     const std::vector<float>& mys = morton->ys();
+    const std::uint8_t* bitmap = selection.bitmap.data();
     std::size_t w = 0;
     for (std::size_t k = 0; k < order.size() && w < n; ++k) {
       const std::uint32_t id = order[k];
@@ -85,9 +97,9 @@ inline SplatSchedule BuildSplatSchedule(
     }
     const std::size_t tail = w % kChunk;
     raster::ComputeSplatIndices(vp, xs, ys, tail, indices + w - tail);
-    s.ids.resize(w);  // no-op unless the bitmap disagrees with the ids
+    s.ids = s.ids.first(w);  // no-op unless the bitmap disagrees with the ids
     s.indices.resize(w);
-    return s;
+    return;
   }
   for (std::size_t begin = 0; begin < n; begin += kChunk) {
     const std::size_t len = std::min(kChunk, n - begin);
@@ -97,7 +109,6 @@ inline SplatSchedule BuildSplatSchedule(
     }
     raster::ComputeSplatIndices(vp, xs, ys, len, indices + begin);
   }
-  return s;
 }
 
 /// Per-pixel aggregate render targets produced by the point-splat pass
@@ -120,24 +131,32 @@ struct AggregateTargets {
   }
 };
 
-/// Warm render targets of one raster executor. Each call checks a canvas
+/// Everything one raster call writes besides its result: the canvas and
+/// the filter and splat-schedule buffers that feed it.
+struct CallScratch {
+  AggregateTargets targets;
+  FilterSelection selection;
+  SplatSchedule schedule;
+};
+
+/// Warm call scratch of one raster executor. Each call checks a scratch
 /// out for its duration, so concurrent calls never share one, while a lone
-/// caller keeps reusing the same warm canvas (see EnsureFilled). The list
-/// holds as many canvases as calls ever ran at once.
+/// caller keeps reusing the same warm canvas (see EnsureFilled) and filter
+/// buffers. The list holds as many scratches as calls ever ran at once.
 class TargetsPool {
  public:
   struct Return {
     TargetsPool* pool;
-    void operator()(AggregateTargets* targets) const {
+    void operator()(CallScratch* scratch) const {
       std::lock_guard<std::mutex> lock(pool->mu_);
-      pool->free_.emplace_back(targets);
+      pool->free_.emplace_back(scratch);
     }
   };
-  using Lease = std::unique_ptr<AggregateTargets, Return>;
+  using Lease = std::unique_ptr<CallScratch, Return>;
 
   Lease Acquire() {
     std::lock_guard<std::mutex> lock(mu_);
-    if (free_.empty()) return Lease(new AggregateTargets(), Return{this});
+    if (free_.empty()) return Lease(new CallScratch(), Return{this});
     Lease lease(free_.back().release(), Return{this});
     free_.pop_back();
     return lease;
@@ -145,7 +164,7 @@ class TargetsPool {
 
  private:
   std::mutex mu_;
-  std::vector<std::unique_ptr<AggregateTargets>> free_;
+  std::vector<std::unique_ptr<CallScratch>> free_;
 };
 
 /// Reuses `buf` when the canvas size matches (refilled with `fill`),

@@ -59,6 +59,25 @@ class RowRangeSet {
   std::uint64_t total_rows_ = 0;
 };
 
+/// Calls `fn(lo, hi)` for every maximal run [lo, hi) of [begin, end) ∩
+/// candidates, ascending. A null candidate set means "all rows" (one run).
+template <typename Fn>
+inline void ForEachCandidateRange(const RowRangeSet* candidates,
+                                  std::uint64_t begin, std::uint64_t end,
+                                  Fn&& fn) {
+  if (candidates == nullptr) {
+    if (begin < end) fn(begin, end);
+    return;
+  }
+  const std::vector<RowRange>& ranges = candidates->ranges();
+  auto it = std::upper_bound(
+      ranges.begin(), ranges.end(), begin,
+      [](std::uint64_t r, const RowRange& range) { return r < range.end; });
+  for (; it != ranges.end() && it->begin < end; ++it) {
+    fn(std::max(begin, it->begin), std::min(end, it->end));
+  }
+}
+
 /// Calls `fn(i)` for every row in [begin, end) ∩ candidates, ascending.
 /// A null candidate set means "all rows". This is the scan executors' row
 /// loop: candidate ranges replace the dense `for` so fully-pruned blocks
@@ -68,23 +87,12 @@ template <typename Fn>
 inline void ForEachCandidateRow(const RowRangeSet* candidates,
                                 std::uint64_t begin, std::uint64_t end,
                                 Fn&& fn) {
-  if (candidates == nullptr) {
-    for (std::uint64_t i = begin; i < end; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  const std::vector<RowRange>& ranges = candidates->ranges();
-  auto it = std::upper_bound(
-      ranges.begin(), ranges.end(), begin,
-      [](std::uint64_t r, const RowRange& range) { return r < range.end; });
-  for (; it != ranges.end() && it->begin < end; ++it) {
-    const std::uint64_t lo = std::max(begin, it->begin);
-    const std::uint64_t hi = std::min(end, it->end);
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      fn(i);
-    }
-  }
+  ForEachCandidateRange(candidates, begin, end,
+                        [&](std::uint64_t lo, std::uint64_t hi) {
+                          for (std::uint64_t i = lo; i < hi; ++i) {
+                            fn(i);
+                          }
+                        });
 }
 
 }  // namespace urbane::core

@@ -56,9 +56,9 @@ StatusOr<std::unique_ptr<SpatialAggregationExecutor>> CreateExecutor(
 /// epoch under state_mu_; calls already in flight keep the retired
 /// executor alive through their snapshot and cache their answers under the
 /// retired epoch's key, which no later lookup computes. Each raster call
-/// checks a warm canvas out of its executor's TargetsPool, so resident
-/// canvases grow to the number of calls in flight (bounded by the
-/// caller's — e.g. the server's — worker count).
+/// checks a warm canvas and filter buffers out of its executor's
+/// TargetsPool, so resident canvases grow to the number of calls in flight
+/// (bounded by the caller's — e.g. the server's — worker count).
 class SpatialAggregation {
  public:
   /// `points`/`regions` must outlive this object.

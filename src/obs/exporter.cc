@@ -172,8 +172,7 @@ void TelemetryExporter::Flush() {
 
   data::JsonValue::Object line;
   line.emplace_back("schema", data::JsonValue("urbane.telemetry.v1"));
-  line.emplace_back("uptime_seconds",
-                    data::JsonValue(ProcessUptimeSeconds()));
+  line.emplace_back("uptime_seconds", ProcessUptimeSeconds());
   line.emplace_back("delta", delta.ToJson());
   std::ofstream out(options_.sink_path, std::ios::app);
   if (!out) return;

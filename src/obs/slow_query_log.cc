@@ -146,11 +146,9 @@ data::JsonValue SlowQueryLog::ToJson() const {
     entry.emplace_back("query", data::JsonValue(record.query));
     entry.emplace_back("plan", data::JsonValue(record.plan));
     entry.emplace_back("trace_id", data::JsonValue(record.trace_id));
-    entry.emplace_back("wall_seconds", data::JsonValue(record.wall_seconds));
-    entry.emplace_back("threshold_seconds",
-                       data::JsonValue(record.threshold_seconds));
-    entry.emplace_back("timestamp_seconds",
-                       data::JsonValue(record.timestamp_seconds));
+    entry.emplace_back("wall_seconds", record.wall_seconds);
+    entry.emplace_back("threshold_seconds", record.threshold_seconds);
+    entry.emplace_back("timestamp_seconds", record.timestamp_seconds);
     entry.emplace_back("trace", record.trace);
     entry.emplace_back("profile", record.profile);
     record_array.emplace_back(std::move(entry));

@@ -139,12 +139,10 @@ data::JsonValue RenderResult(const BackendResult& result, double elapsed_ms,
   regions.reserve(result.rows.size());
   for (const RegionRow& row : result.rows) {
     data::JsonValue::Object region;
-    region.emplace_back("id",
-                        data::JsonValue(static_cast<double>(row.id)));
+    region.emplace_back("id", static_cast<double>(row.id));
     region.emplace_back("name", data::JsonValue(row.name));
     region.emplace_back("value", FiniteOrNull(row.value));
-    region.emplace_back("count",
-                        data::JsonValue(static_cast<double>(row.count)));
+    region.emplace_back("count", static_cast<double>(row.count));
     if (row.has_error_bound) {
       region.emplace_back("error_bound", FiniteOrNull(row.error_bound));
     }
@@ -158,9 +156,7 @@ data::JsonValue RenderResult(const BackendResult& result, double elapsed_ms,
   doc.emplace_back("exact", data::JsonValue(result.exact));
   doc.emplace_back("elapsed_ms", FiniteOrNull(elapsed_ms));
   if (result.watermark.has_value()) {
-    doc.emplace_back(
-        "watermark",
-        data::JsonValue(static_cast<double>(*result.watermark)));
+    doc.emplace_back("watermark", static_cast<double>(*result.watermark));
   }
   doc.emplace_back("regions", data::JsonValue(std::move(regions)));
   if (profile != nullptr) {
@@ -175,12 +171,9 @@ data::JsonValue RenderIngestResult(const std::string& dataset,
   data::JsonValue::Object doc;
   doc.emplace_back("schema", data::JsonValue("urbane.ingest.v1"));
   doc.emplace_back("dataset", data::JsonValue(dataset));
-  doc.emplace_back(
-      "rows_appended",
-      data::JsonValue(static_cast<double>(response.rows_appended)));
-  doc.emplace_back(
-      "watermark",
-      data::JsonValue(static_cast<double>(response.watermark)));
+  doc.emplace_back("rows_appended",
+                   static_cast<double>(response.rows_appended));
+  doc.emplace_back("watermark", static_cast<double>(response.watermark));
   doc.emplace_back("elapsed_ms", FiniteOrNull(elapsed_ms));
   return data::JsonValue(std::move(doc));
 }
@@ -192,8 +185,7 @@ data::JsonValue RenderCatalog(const std::string& key,
   for (const CatalogEntry& entry : entries) {
     data::JsonValue::Object item;
     item.emplace_back("name", data::JsonValue(entry.name));
-    item.emplace_back("size",
-                      data::JsonValue(static_cast<double>(entry.size)));
+    item.emplace_back("size", static_cast<double>(entry.size));
     items.emplace_back(std::move(item));
   }
   data::JsonValue::Object doc;

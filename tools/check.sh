@@ -8,6 +8,9 @@
 #   * the shared-engine concurrency tests (N sessions on one facade),
 #   * the stateless-executor tests (N threads on one executor instance of
 #     each class, every call bit-identical to its serial twin),
+#   * the filter-kernel differential suite (EvaluateFilter against the
+#     row predicate at 1/2/4/8 partitions on one pool: per-partition
+#     bitmap slices, prefix-summed counts and in-place id fills),
 #   * the QueryCache unit tests (sharded LRU under mixed traffic),
 #   * the facade cache tests (stale-ε regression included),
 #   * the obs metrics/trace concurrency tests (threads vs serial oracle),
@@ -103,7 +106,7 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" \
 URBANE_SIMD=off \
 TSAN_OPTIONS="halt_on_error=1 abort_on_error=1${TSAN_OPTIONS:+ ${TSAN_OPTIONS}}" \
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-  -R 'ParallelDeterminism|EngineConcurrency|ExecutorConcurrency|QueryCache|SpatialAggregation|MetricsConcurrency|ObservabilityDeterminism|EventJournal|SlowQuery|TelemetryExporter|QueryServer|QueryControl|Socket|HttpRequestParser|BlockCache|StoreCorruption|StoreTruncation' \
+  -R 'ParallelDeterminism|EngineConcurrency|ExecutorConcurrency|FilterKernel|QueryCache|SpatialAggregation|MetricsConcurrency|ObservabilityDeterminism|EventJournal|SlowQuery|TelemetryExporter|QueryServer|QueryControl|Socket|HttpRequestParser|BlockCache|StoreCorruption|StoreTruncation' \
   "$@"
 
 # The adversarial-interleaving merge suite and the rest of the shard layer
